@@ -29,8 +29,13 @@ struct HandleState {
     group_open: bool,
     /// Redirect node materialized for this group by optimization (c).
     redirect: Option<TaskId>,
-    /// Predecessors each *new member* of the open group must depend on.
+    /// Predecessors each *new member* of the open group must depend on,
+    /// less those already in `group_pruned`.
     group_base: InlineVec<TaskId, WRITERS_INLINE>,
+    /// Base predecessors a member's edge was already pruned against. The
+    /// sink's completion is monotone, so every later member's edge would
+    /// be pruned too: joins skip the sink for them (DESIGN.md §4.4).
+    group_pruned: InlineVec<TaskId, WRITERS_INLINE>,
     /// Readers since the last write.
     readers: InlineVec<TaskId, READERS_INLINE>,
 }
@@ -56,6 +61,10 @@ pub struct DiscoveryEngine {
     /// funneled into the redirect node (recycled — never cloned from the
     /// handle state).
     scratch_members: Vec<TaskId>,
+    /// Join groups through the pre-memo loop (the reference the
+    /// completed-base memo is checked against).
+    #[cfg(test)]
+    reference_join: bool,
 }
 
 impl DiscoveryEngine {
@@ -68,6 +77,8 @@ impl DiscoveryEngine {
             stats: DiscoveryStats::default(),
             scratch_preds: Vec::new(),
             scratch_members: Vec::new(),
+            #[cfg(test)]
+            reference_join: false,
         }
     }
 
@@ -108,6 +119,7 @@ impl DiscoveryEngine {
             h.group_open = false;
             h.redirect = None;
             h.group_base.clear();
+            h.group_pruned.clear();
             h.readers.clear();
         }
         // The duplicate-edge probe table must reset too: if the sink's ids
@@ -132,28 +144,84 @@ impl DiscoveryEngine {
         }
     }
 
-    /// Add edge `pred -> succ` with the optimization-(b) probe and
-    /// self-edge suppression.
-    fn edge(&mut self, sink: &mut dyn GraphSink, pred: TaskId, succ: TaskId) {
+    /// Self-edge suppression and the optimization-(b) duplicate probe:
+    /// whether the edge `pred -> succ` still has to be requested.
+    fn probe(&mut self, pred: TaskId, succ: TaskId) -> bool {
         if pred == succ {
             // A task reading and writing the same region does not depend on
             // itself (OpenMP orders *distinct* sibling tasks).
-            return;
+            return false;
         }
         if self.opts.dedup_edges {
             self.stats.dup_probes += 1;
             let slot = &mut self.last_succ[pred.index()];
             if *slot == succ.0 {
                 self.stats.dup_skipped += 1;
-                return;
+                return false;
             }
             *slot = succ.0;
         }
+        true
+    }
+
+    /// Add edge `pred -> succ` after the [`DiscoveryEngine::probe`].
+    /// Returns whether the sink pruned it.
+    fn edge(&mut self, sink: &mut dyn GraphSink, pred: TaskId, succ: TaskId) -> bool {
+        if !self.probe(pred, succ) {
+            return false;
+        }
         if sink.add_edge(pred, succ) {
             self.stats.edges_created += 1;
+            false
         } else {
             self.stats.edges_pruned += 1;
+            true
         }
+    }
+
+    /// Join task `id` to the open `inoutset` group of handle `hidx`: an
+    /// edge from every base predecessor, none against fellow members.
+    ///
+    /// Base predecessors an earlier member was pruned against are known
+    /// complete, so their edges are counted as pruned without asking the
+    /// sink — still after the duplicate probe, so every counter reads as
+    /// if each edge had been requested. The rest are requested, and those
+    /// the sink prunes join the memo.
+    fn join_group(&mut self, sink: &mut dyn GraphSink, hidx: usize, id: TaskId) {
+        #[cfg(test)]
+        if self.reference_join {
+            self.join_group_reference(sink, hidx, id);
+            return;
+        }
+        let mut pruned = std::mem::take(&mut self.handles[hidx].group_pruned);
+        for &p in &pruned {
+            if self.probe(p, id) {
+                self.stats.edges_pruned += 1;
+            }
+        }
+        let mut base = std::mem::take(&mut self.handles[hidx].group_base);
+        base.retain(|&p| {
+            let was_pruned = self.edge(sink, p, id);
+            if was_pruned {
+                pruned.push(p);
+            }
+            !was_pruned
+        });
+        let st = &mut self.handles[hidx];
+        st.group_base = base;
+        st.group_pruned = pruned;
+        st.last_writers.push(id);
+    }
+
+    /// The pre-memo join: every member requests every base edge.
+    #[cfg(test)]
+    fn join_group_reference(&mut self, sink: &mut dyn GraphSink, hidx: usize, id: TaskId) {
+        let base = std::mem::take(&mut self.handles[hidx].group_base);
+        for p in &base {
+            self.edge(sink, *p, id);
+        }
+        self.handles[hidx].group_base = base;
+        self.handles[hidx].last_writers.push(id);
     }
 
     /// Resolve the predecessors representing "the last write" of handle
@@ -247,6 +315,7 @@ impl DiscoveryEngine {
                     st.group_open = false;
                     st.redirect = None;
                     st.group_base.clear();
+                    st.group_pruned.clear();
                     st.readers.clear();
                 }
                 AccessMode::InOutSet => {
@@ -255,14 +324,7 @@ impl DiscoveryEngine {
                         st.writers_are_set && st.group_open && st.readers.is_empty()
                     };
                     if joinable {
-                        // Join the open group: same base predecessors, no
-                        // ordering against fellow members.
-                        let base = std::mem::take(&mut self.handles[hidx].group_base);
-                        for p in &base {
-                            self.edge(sink, *p, id);
-                        }
-                        self.handles[hidx].group_base = base;
-                        self.handles[hidx].last_writers.push(id);
+                        self.join_group(sink, hidx, id);
                     } else {
                         // Open a new group.
                         if self.handles[hidx].readers.is_empty() {
@@ -280,6 +342,7 @@ impl DiscoveryEngine {
                         let st = &mut self.handles[hidx];
                         st.group_base.clear();
                         st.group_base.extend_from_slice(&preds);
+                        st.group_pruned.clear();
                         self.scratch_preds = preds;
                         st.last_writers.clear();
                         st.last_writers.push(id);
@@ -300,6 +363,7 @@ impl DiscoveryEngine {
 mod tests {
     use super::*;
     use crate::handle::HandleSpace;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     /// A sink that records the graph in memory; `consumed` simulates tasks
@@ -663,5 +727,175 @@ mod tests {
         assert_eq!(st.tasks, 2);
         assert_eq!(st.depend_items, 4);
         assert_eq!(st.nodes(), 2);
+    }
+
+    /// A sink whose nodes finish on a fixed schedule: node `p` is complete
+    /// once `delays[p]` further nodes exist (never for [`NEVER`]). The
+    /// clock is the node count, which the memo does not change, so a
+    /// memo engine and a reference engine fed the same stream see the
+    /// same completions at every request. Completion is monotone, as on a
+    /// live graph.
+    struct ScheduleSink {
+        delays: Vec<u32>,
+        n_nodes: u32,
+        edges: Vec<(u32, u32)>,
+        add_edge_calls: u64,
+    }
+
+    const NEVER: u32 = u32::MAX;
+
+    impl ScheduleSink {
+        fn new(delays: Vec<u32>) -> Self {
+            ScheduleSink {
+                delays,
+                n_nodes: 0,
+                edges: Vec::new(),
+                add_edge_calls: 0,
+            }
+        }
+    }
+
+    impl GraphSink for ScheduleSink {
+        fn add_task(&mut self, _spec: &SpecView<'_>) -> TaskId {
+            self.add_redirect()
+        }
+        fn add_redirect(&mut self) -> TaskId {
+            self.n_nodes += 1;
+            TaskId(self.n_nodes - 1)
+        }
+        fn add_edge(&mut self, pred: TaskId, succ: TaskId) -> bool {
+            self.add_edge_calls += 1;
+            let delay = self.delays[pred.index() % self.delays.len()];
+            if delay != NEVER && pred.0 + delay < self.n_nodes {
+                return false;
+            }
+            self.edges.push((pred.0, succ.0));
+            true
+        }
+        fn seal(&mut self, _task: TaskId) {}
+    }
+
+    /// Discover `program` (per task: `(handle, mode)` items) once through
+    /// the memo and once through the pre-memo join loop.
+    fn memo_and_reference(
+        program: &[Vec<(usize, AccessMode)>],
+        delays: &[u32],
+        opts: OptConfig,
+    ) -> [(DiscoveryStats, ScheduleSink); 2] {
+        let mut s = HandleSpace::new();
+        let handles: Vec<_> = (0..4).map(|_| s.region("h", 64)).collect();
+        [false, true].map(|reference_join| {
+            let mut eng = DiscoveryEngine::new(opts);
+            eng.reference_join = reference_join;
+            let mut sink = ScheduleSink::new(delays.to_vec());
+            for deps in program {
+                let mut spec = TaskSpec::new("t");
+                for &(h, mode) in deps {
+                    spec = spec.depend(handles[h], mode);
+                }
+                eng.submit(&mut sink, &spec);
+            }
+            (eng.stats(), sink)
+        })
+    }
+
+    fn assert_memo_exact(program: &[Vec<(usize, AccessMode)>], delays: &[u32], opts: OptConfig) {
+        let [(stats, memo), (ref_stats, reference)] = memo_and_reference(program, delays, opts);
+        assert_eq!(stats, ref_stats, "every counter as without the memo");
+        assert_eq!(memo.edges, reference.edges, "same edges, same order");
+        assert!(memo.add_edge_calls <= reference.add_edge_calls);
+    }
+
+    /// Members whose own depend list also reaches a finished base
+    /// predecessor: the duplicate probe still runs against memoized
+    /// predecessors, so `dup_skipped` and `edges_pruned` split exactly as
+    /// before, in either depend-list order.
+    #[test]
+    fn memo_keeps_duplicate_probes_on_pruned_bases() {
+        use AccessMode::*;
+        let mut program = vec![vec![(0, In), (1, Out)], vec![(0, InOutSet)]];
+        for k in 0..6 {
+            program.push(if k % 2 == 0 {
+                vec![(1, In), (0, InOutSet)]
+            } else {
+                vec![(0, InOutSet), (1, In)]
+            });
+        }
+        // Task 0 (the base) finishes at once; nothing else ever does.
+        let delays: Vec<u32> = (0..64).map(|i| if i == 0 { 0 } else { NEVER }).collect();
+        for opts in [OptConfig::all(), OptConfig::none()] {
+            assert_memo_exact(&program, &delays, opts);
+        }
+        let [(stats, memo), (_, reference)] =
+            memo_and_reference(&program, &delays, OptConfig::all());
+        assert_eq!(stats.dup_skipped, 6);
+        assert!(
+            memo.add_edge_calls < reference.add_edge_calls,
+            "later members skip the sink for the finished base"
+        );
+    }
+
+    /// Fig. 4's group behind n finished readers: only the opener and the
+    /// first joiner ask the sink about them — 2n calls instead of m·n.
+    #[test]
+    fn memo_asks_about_a_finished_base_twice_per_group() {
+        let (n, m) = (5usize, 7usize);
+        let mut program = vec![vec![(0, AccessMode::Out)]];
+        program.extend((0..n).map(|_| vec![(0, AccessMode::In)]));
+        program.extend((0..m).map(|_| vec![(0, AccessMode::InOutSet)]));
+        let delays = vec![0u32; 64];
+        let [(stats, memo), (ref_stats, reference)] =
+            memo_and_reference(&program, &delays, OptConfig::all());
+        assert_eq!(stats, ref_stats);
+        // n reader edges, then the group: the opener plus m − 1 joiners.
+        assert_eq!(stats.edges_pruned as usize, n + m * n);
+        assert_eq!(reference.add_edge_calls as usize, n + m * n);
+        assert_eq!(memo.add_edge_calls as usize, n + 2 * n);
+    }
+
+    fn program_strategy() -> impl Strategy<Value = Vec<Vec<(usize, AccessMode)>>> {
+        // InOutSet carries half the weight so groups grow long enough to
+        // see bases finish mid-group.
+        let item = (0usize..3, 0u8..6).prop_map(|(h, m)| {
+            let mode = match m {
+                0 => AccessMode::In,
+                1 => AccessMode::Out,
+                2 => AccessMode::InOut,
+                _ => AccessMode::InOutSet,
+            };
+            (h, mode)
+        });
+        prop::collection::vec(prop::collection::vec(item, 1..=4), 1..=60)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The memo is exact: against a random monotone completion
+        /// schedule, every `DiscoveryStats` field and the created-edge
+        /// list equal the pre-memo join loop's, under every optimization
+        /// switch.
+        #[test]
+        fn memo_matches_the_reference_join(
+            program in program_strategy(),
+            delays in prop::collection::vec(0u32..12, 128),
+        ) {
+            let delays: Vec<u32> = delays
+                .into_iter()
+                .map(|d| if d >= 9 { NEVER } else { d })
+                .collect();
+            for opts in [
+                OptConfig::all(),
+                OptConfig::none(),
+                OptConfig::dedup_only(),
+                OptConfig::redirect_only(),
+            ] {
+                let [(stats, memo), (ref_stats, reference)] =
+                    memo_and_reference(&program, &delays, opts);
+                prop_assert_eq!(stats, ref_stats);
+                prop_assert_eq!(&memo.edges, &reference.edges);
+                prop_assert!(memo.add_edge_calls <= reference.add_edge_calls);
+            }
+        }
     }
 }

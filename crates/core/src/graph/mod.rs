@@ -56,6 +56,11 @@ pub trait GraphSink {
     fn add_redirect(&mut self) -> TaskId;
 
     /// Add a precedence edge; returns `false` if pruned.
+    ///
+    /// Pruning must be monotone per predecessor: once an edge from `pred`
+    /// is pruned, every later edge from `pred` would be too (completion
+    /// is final). The engine relies on this to stop asking about finished
+    /// `inoutset` base predecessors (DESIGN.md §4.4).
     fn add_edge(&mut self, pred: TaskId, succ: TaskId) -> bool;
 
     /// All edges of `task` have been added; it may become ready.

@@ -18,7 +18,7 @@ use super::probe::RtProbe;
 use crate::task::{SpecView, TaskBody, TaskId};
 use crate::util::InlineVec;
 use crate::workdesc::{CommOp, WorkDesc};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Successors kept inline in the node before spilling to the heap.
@@ -31,19 +31,6 @@ pub const SUCC_INLINE: usize = 8;
 
 /// Ready-list entries kept inline in a [`Completion`].
 pub const READY_INLINE: usize = 8;
-
-/// Mutable graph-side state of a node, guarded by one small lock.
-///
-/// The lock serializes the completion of the predecessor against the
-/// producer attaching new successor edges — the race that makes edge
-/// *pruning* well-defined: an edge requested after completion is pruned.
-#[derive(Default)]
-struct NodeLinks {
-    /// Streaming successors to release on completion (taken exactly once).
-    succs: InlineVec<NodeRef, SUCC_INLINE>,
-    /// Whether the task has completed (this iteration).
-    completed: bool,
-}
 
 /// Result of completing a node.
 #[derive(Default)]
@@ -75,8 +62,17 @@ pub struct RtNode {
     pub is_redirect: bool,
     /// Predecessors not yet completed, plus one creation/visibility token.
     pending: AtomicU32,
-    /// Streaming links + completion flag.
-    links: Mutex<NodeLinks>,
+    /// Whether the task has completed. Set once, inside the `succs`
+    /// critical section, so an edge requested after completion is pruned;
+    /// read without the lock first by [`RtNode::attach_succ`], which makes
+    /// a pruned edge — nearly every edge of a discovery-bound stream — a
+    /// single load (DESIGN.md §4.3).
+    completed: AtomicBool,
+    /// Streaming successors to release on completion (taken exactly once).
+    /// The lock serializes the completion against the producer attaching
+    /// new successor edges — the race that makes edge *pruning*
+    /// well-defined.
+    succs: Mutex<InlineVec<NodeRef, SUCC_INLINE>>,
     /// Current iteration (the firstprivate payload a persistent
     /// re-instance rewrites).
     pub iter: AtomicU64,
@@ -112,7 +108,8 @@ impl RtNode {
             fp_bytes: view.fp_bytes,
             is_redirect: false,
             pending: AtomicU32::new(1), // creation token
-            links: Mutex::new(NodeLinks::default()),
+            completed: AtomicBool::new(false),
+            succs: Mutex::new(InlineVec::new()),
             iter: AtomicU64::new(iter),
             persistent_succs: OnceLock::new(),
         }
@@ -139,7 +136,8 @@ impl RtNode {
             fp_bytes: 0,
             is_redirect: false,
             pending: AtomicU32::new(1),
-            links: Mutex::new(NodeLinks::default()),
+            completed: AtomicBool::new(false),
+            succs: Mutex::new(InlineVec::new()),
             iter: AtomicU64::new(iter),
             persistent_succs: OnceLock::new(),
         }
@@ -177,7 +175,8 @@ impl RtNode {
             fp_bytes: tn.fp_bytes,
             is_redirect: tn.is_redirect,
             pending: AtomicU32::new(1),
-            links: Mutex::new(NodeLinks::default()),
+            completed: AtomicBool::new(false),
+            succs: Mutex::new(InlineVec::new()),
             iter: AtomicU64::new(0),
             persistent_succs: OnceLock::new(),
         }
@@ -190,10 +189,10 @@ impl RtNode {
         n
     }
 
-    fn links(&self) -> MutexGuard<'_, NodeLinks> {
+    fn succs(&self) -> MutexGuard<'_, InlineVec<NodeRef, SUCC_INLINE>> {
         // A poisoned lock means a panic inside the short critical section
         // below, never inside a task body; the state is still consistent.
-        self.links.lock().unwrap_or_else(|e| e.into_inner())
+        self.succs.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Current pending count (tests / diagnostics; Relaxed — a racy
@@ -212,7 +211,7 @@ impl RtNode {
 
     /// Count of successors a completion would release right now.
     pub fn succ_count(&self) -> usize {
-        let streaming = self.links().succs.len();
+        let streaming = self.succs().len();
         streaming + self.persistent_succs.get().map_or(0, |s| s.len())
     }
 
@@ -221,10 +220,10 @@ impl RtNode {
     /// [`super::PersistentInstance::publish`]).
     ///
     /// This is valid **only** for instanced persistent nodes: their
-    /// successor edges live in `persistent_succs` (never in `links.succs`),
+    /// successor edges live in `persistent_succs` (never in `succs`),
     /// and `attach_succ` is never called on them, so the `completed` flag —
     /// which exists solely to define streaming-edge pruning — is dead state
-    /// and need not be cleared. Skipping the links lock turns the
+    /// and need not be cleared. Skipping the successor lock turns the
     /// per-iteration re-arm into two plain stores per node, which is what
     /// lets `begin_iteration` be a single dense sweep (DESIGN.md §4.4).
     /// Relaxed stores: re-instancing runs strictly between iterations —
@@ -233,7 +232,7 @@ impl RtNode {
     /// happens-before edge that carries these values to the workers.
     pub(crate) fn rearm_persistent(&self, indegree: u32, iter: u64) {
         debug_assert!(
-            self.persistent_succs.get().is_some() || self.links().succs.is_empty(),
+            self.persistent_succs.get().is_some() || self.succs().is_empty(),
             "fast re-arm is reserved for instanced persistent nodes"
         );
         self.pending.store(indegree + 1, Ordering::Relaxed);
@@ -242,16 +241,29 @@ impl RtNode {
 
     /// Attach an edge `self -> succ`, unless `self` already completed.
     /// Returns whether the edge was created.
+    ///
+    /// The completion flag is checked without the lock first. Acquire: a
+    /// pruned edge lets `succ` run without waiting on `self`, so `self`'s
+    /// body writes must reach `succ` through this load — it synchronizes
+    /// with the `Release` store in [`RtNode::complete_with`], and the
+    /// producer's later queue push carries that on to the worker that
+    /// runs `succ`. A `false` read may be stale; the locked re-check
+    /// below decides.
     pub fn attach_succ(&self, succ: &NodeRef) -> bool {
-        let mut links = self.links();
-        if links.completed {
+        if self.completed.load(Ordering::Acquire) {
+            return false; // pruned
+        }
+        let mut succs = self.succs();
+        // Relaxed: the lock orders this load after a completion that
+        // stored the flag inside its own critical section.
+        if self.completed.load(Ordering::Relaxed) {
             return false; // pruned
         }
         // Relaxed: the producer holds the creation token, so this add can
         // never race the counter to zero; `seal`'s AcqRel decrement is
         // what orders readiness.
         succ.pending.fetch_add(1, Ordering::Relaxed);
-        links.succs.push(succ.clone());
+        succs.push(succ.clone());
         true
     }
 
@@ -285,9 +297,11 @@ impl RtNode {
     /// from the progress path, after the request matched.)
     pub fn complete_with(&self, probe: &dyn RtProbe, core: usize, now_ns: u64) -> Completion {
         let taken = {
-            let mut links = self.links();
-            links.completed = true;
-            std::mem::take(&mut links.succs)
+            let mut succs = self.succs();
+            // Release: publishes the task body's writes to a producer
+            // that prunes against the flag without taking the lock.
+            self.completed.store(true, Ordering::Release);
+            std::mem::take(&mut *succs)
         };
         let mut out = Completion {
             ready: InlineVec::new(),

@@ -108,17 +108,38 @@ impl<T, const N: usize> InlineVec<T, N> {
     /// Drop all elements. Heap capacity (if any) is retained — the
     /// steady-state zero-allocation invariant depends on this.
     pub fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Drop the elements past `len` (no-op when already that short).
+    /// Heap capacity is retained, as for [`InlineVec::clear`].
+    pub fn truncate(&mut self, len: usize) {
         if self.spilled {
-            self.heap.clear();
-        } else {
+            self.heap.truncate(len);
+        } else if len < self.len {
             let live = self.len;
-            self.len = 0;
-            for slot in &mut self.inline[..live] {
-                // SAFETY: slots [..live] were initialized; len is
-                // already 0 so a panic in a Drop impl cannot double-drop.
+            self.len = len;
+            for slot in &mut self.inline[len..live] {
+                // SAFETY: slots [len..live] were initialized; len is
+                // already lowered so a panic in a Drop impl cannot
+                // double-drop.
                 unsafe { slot.as_mut_ptr().drop_in_place() };
             }
         }
+    }
+
+    /// Keep only the elements `keep` returns `true` for, in their order.
+    /// Heap capacity is retained.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let items = self.as_mut_slice();
+        let mut kept = 0;
+        for i in 0..items.len() {
+            if keep(&items[i]) {
+                items.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.truncate(kept);
     }
 
     /// View as a slice.
@@ -406,6 +427,25 @@ mod tests {
         let w = v.clone();
         assert_eq!(v, w);
         assert_eq!(format!("{v:?}"), "[0, 1, 2, 3, 4]");
+    }
+
+    #[test]
+    fn retain_keeps_order_and_drops_the_rest_in_both_regimes() {
+        for n in [3usize, 9] {
+            let token = Rc::new(());
+            let mut v: InlineVec<(u32, Rc<()>), 4> = InlineVec::new();
+            for i in 0..n as u32 {
+                v.push((i, token.clone()));
+            }
+            v.retain(|(i, _)| i % 3 != 1);
+            let kept: Vec<u32> = v.iter().map(|(i, _)| *i).collect();
+            let want: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
+            assert_eq!(kept, want);
+            assert_eq!(Rc::strong_count(&token), 1 + want.len());
+            v.truncate(1);
+            assert_eq!(v.len(), 1);
+            assert_eq!(Rc::strong_count(&token), 2);
+        }
     }
 
     #[test]

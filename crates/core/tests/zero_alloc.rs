@@ -1,6 +1,6 @@
 //! Allocation accounting for the discovery hot path (DESIGN.md §4.4).
 //!
-//! A counting global allocator wraps the system allocator; each test warms
+//! A counting global allocator wraps the system allocator; the test warms
 //! the producer-side buffers up to their high-water mark, snapshots the
 //! allocation counter, drives the steady-state path, and asserts the
 //! counter did not move. This pins the tentpole claim — *zero* heap
@@ -8,65 +8,22 @@
 //! reintroduces a per-task `Vec`, `Arc`, or boxed node shows up as a
 //! nonzero delta, not as a slow drift in a benchmark.
 //!
-//! Both windows run with profiling off and no task bodies, on the
+//! The window runs with profiling off and no task bodies, on the
 //! unbounded throttle, so the only code measured is submission itself:
 //! depend resolution, node arming, edge wiring, and readiness routing.
+//! Re-instanced persistent iterations are pinned the same way in
+//! `zero_alloc_persistent.rs`, and `inoutset` group joins in
+//! `zero_alloc_groups.rs`: one window per test binary (see
+//! `alloc_counter`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod alloc_counter;
+
+use alloc_counter::{alloc_calls, quiet_executor};
 
 use ptdg_core::access::AccessMode;
 use ptdg_core::builder::SpecBuf;
-use ptdg_core::exec::{ExecConfig, Executor};
 use ptdg_core::handle::HandleSpace;
 use ptdg_core::opts::OptConfig;
-use ptdg_core::rt::ThrottleConfig;
-
-/// Counts every allocation-side call; frees are uncounted (recycling is
-/// allowed to release memory late, it just must not *acquire* any).
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn alloc_calls() -> u64 {
-    // SeqCst snapshot: the windows measure across our own thread only —
-    // workers are parked (streaming) or quiesced at a barrier (persistent)
-    // at both fence points.
-    ALLOC_CALLS.load(Ordering::SeqCst)
-}
-
-fn quiet_executor(n_workers: usize) -> Executor {
-    Executor::new(ExecConfig {
-        n_workers,
-        throttle: ThrottleConfig::unbounded(),
-        profile: false,
-        ..Default::default()
-    })
-}
 
 /// Streaming discovery: after [`ptdg_core::exec::Session::reserve`] and a
 /// warmup burst, every further `SpecBuf` submission must perform zero heap
@@ -116,55 +73,5 @@ fn streaming_submission_is_allocation_free_in_steady_state() {
         "steady-state streaming submission must not allocate \
          ({MEASURED} tasks cost {} allocations)",
         after - before
-    );
-}
-
-/// Persistent re-instancing: once the template is captured and the replay
-/// machinery (publish buffer, injector segment pool, worker deques) has
-/// reached its high-water mark, whole re-instanced iterations — bulk
-/// re-arm, root publication, execution, barrier — allocate nothing.
-#[test]
-fn persistent_replay_is_allocation_free_in_steady_state() {
-    const CHAIN: usize = 64;
-    const WARM_ITERS: u64 = 8;
-    const MEASURED_ITERS: u64 = 16;
-
-    let exec = quiet_executor(1);
-    let mut space = HandleSpace::new();
-    let h = space.region("chain", 64);
-
-    let mut region = exec.persistent_region(OptConfig::all());
-    // Capturing first iteration, then warm replays.
-    for iter in 0..WARM_ITERS {
-        region.run(iter, |sub| {
-            let mut buf = SpecBuf::new();
-            for _ in 0..CHAIN {
-                buf.begin("link")
-                    .dep(h, AccessMode::InOut)
-                    .flops(1.0)
-                    .submit(sub);
-            }
-        });
-    }
-
-    let before = alloc_calls();
-    for iter in WARM_ITERS..WARM_ITERS + MEASURED_ITERS {
-        region.run(iter, |_: &mut dyn ptdg_core::builder::TaskSubmitter| {
-            unreachable!("replayed iterations never rebuild")
-        });
-    }
-    let after = alloc_calls();
-
-    assert_eq!(
-        after - before,
-        0,
-        "re-instanced iterations must not allocate \
-         ({MEASURED_ITERS} iterations cost {} allocations)",
-        after - before
-    );
-    assert_eq!(
-        region.reuses(),
-        WARM_ITERS + MEASURED_ITERS - 1,
-        "all but the capturing iteration replayed the template"
     );
 }

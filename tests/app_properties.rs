@@ -5,6 +5,9 @@
 use proptest::prelude::*;
 use ptdg::cholesky::TileMatrix;
 use ptdg::core::builder::{CountingSubmitter, RecordingSubmitter};
+use ptdg::core::graph::{DiscoveryEngine, DiscoveryStats, GraphSink};
+use ptdg::core::opts::OptConfig;
+use ptdg::core::task::{SpecView, TaskId};
 use ptdg::core::workdesc::CommOp;
 use ptdg::hpcg::{HpcgConfig, HpcgState, HpcgTask};
 use ptdg::lulesh::mesh::{overlapping_slices, slices, RankGrid};
@@ -161,4 +164,104 @@ proptest! {
         m.factor_sequential();
         prop_assert!(m.factorization_error() < 1e-8);
     }
+}
+
+/// A discovery-only sink that counts `add_edge` calls and answers every
+/// one the same way: `prune` stands for "every predecessor has already
+/// finished", the discovery-bound regime where almost every edge is
+/// pruned (paper §3.3).
+struct UniformSink {
+    nodes: u32,
+    prune: bool,
+    add_edge_calls: u64,
+}
+
+impl GraphSink for UniformSink {
+    fn add_task(&mut self, _view: &SpecView<'_>) -> TaskId {
+        self.add_redirect()
+    }
+    fn add_redirect(&mut self) -> TaskId {
+        self.nodes += 1;
+        TaskId(self.nodes - 1)
+    }
+    fn add_edge(&mut self, _pred: TaskId, _succ: TaskId) -> bool {
+        self.add_edge_calls += 1;
+        !self.prune
+    }
+    fn seal(&mut self, _task: TaskId) {}
+}
+
+/// Streams `iters` LULESH iterations through one engine into a
+/// [`UniformSink`]; per iteration: (its `add_edge` calls, the engine's
+/// cumulative stats).
+fn lulesh_stream_counts(prune: bool, iters: u64) -> Vec<(u64, DiscoveryStats)> {
+    let prog = LuleshTask::new(LuleshConfig::single(8, iters, 64));
+    let mut engine = DiscoveryEngine::new(OptConfig::all());
+    let mut sink = UniformSink {
+        nodes: 0,
+        prune,
+        add_edge_calls: 0,
+    };
+    let mut out = Vec::new();
+    for iter in 0..iters {
+        let calls0 = sink.add_edge_calls;
+        let mut rec = RecordingSubmitter::default();
+        prog.build_iteration(0, iter, &mut rec);
+        for spec in &rec.specs {
+            engine.submit(&mut sink, spec);
+        }
+        out.push((sink.add_edge_calls - calls0, engine.stats()));
+    }
+    out
+}
+
+/// The completed-base memo on LULESH (s=8, TPL=64), with every edge
+/// pruned: the `CalcMonotonicQGradientsForElems` `inoutset` group's TPL
+/// members each depended on the TPL finished Q-region readers of the
+/// previous iteration, and each member used to ask the sink about every
+/// one of them (TPL² calls per iteration). Now only the opener and the
+/// first joiner ask; the counters read exactly as before.
+#[test]
+fn pruned_group_joins_skip_the_sink_with_unchanged_counters() {
+    const TPL: u64 = 64;
+    let pruned = lulesh_stream_counts(true, 3);
+    let kept = lulesh_stream_counts(false, 3);
+    let mut kept_calls_so_far = 0;
+    for ((_, p), (kept_calls, k)) in pruned.iter().zip(&kept) {
+        // The pruned stream's counters are the structural ones with
+        // created and pruned swapped: the memo changes no counter.
+        assert_eq!(
+            *p,
+            DiscoveryStats {
+                edges_created: 0,
+                edges_pruned: k.edges_created,
+                ..*k
+            }
+        );
+        assert_eq!(k.edges_pruned, 0);
+        // Without the memo every non-duplicate edge is one sink call.
+        kept_calls_so_far += kept_calls;
+        assert_eq!(kept_calls_so_far, k.edges_created);
+    }
+    // The counters after 3 iterations, pinned.
+    assert_eq!(
+        kept[2].1,
+        DiscoveryStats {
+            tasks: 3 * 833,
+            redirect_nodes: 65 + 2 * 66,
+            depend_items: 3 * 6784,
+            edges_created: 6460 + 2 * 16253,
+            edges_pruned: 0,
+            dup_probes: 6524 + 2 * 16317,
+            dup_skipped: 3 * 64,
+        }
+    );
+    let excess_before = kept[2].0 - kept[0].0;
+    let excess_now = pruned[2].0 - pruned[0].0;
+    assert!(
+        excess_before.saturating_sub(excess_now) >= (TPL - 2) * TPL,
+        "iteration 3 still pays the group's n·m term: \
+         {excess_now} extra sink calls over iteration 1 (was {excess_before})"
+    );
+    assert_eq!((pruned[0].0, pruned[2].0), (6336, 12161));
 }

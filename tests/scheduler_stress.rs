@@ -1,6 +1,7 @@
 //! Stress tests for the lock-free scheduler fast path: shutdown/drain
-//! races, parking wakeups, and a property pinning the lock-free pop
-//! order to the sequential locked model.
+//! races, parking wakeups, the lock-free completion check against a
+//! racing completion, and a property pinning the lock-free pop order to
+//! the sequential locked model.
 //!
 //! The executor rounds are intentionally repeated (`STRESS_ROUNDS`, or
 //! the `PTDG_STRESS_ROUNDS` env var — CI's release stress job raises
@@ -10,11 +11,11 @@ use proptest::prelude::*;
 use ptdg::core::exec::{ExecConfig, Executor, QueueBackend, SchedPolicy};
 use ptdg::core::handle::HandleSpace;
 use ptdg::core::opts::OptConfig;
-use ptdg::core::rt::ReadyQueues;
-use ptdg::core::task::TaskSpec;
+use ptdg::core::rt::{NodeRef, ReadyQueues, RtNode};
+use ptdg::core::task::{TaskId, TaskSpec};
 use ptdg::core::throttle::ThrottleConfig;
 use ptdg::core::AccessMode;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const STRESS_ROUNDS: usize = 20;
@@ -33,6 +34,97 @@ fn cfg(workers: usize) -> ExecConfig {
         throttle: ThrottleConfig::unbounded(),
         profile: false,
         record_events: false,
+    }
+}
+
+/// SplitMix64: one seeded stream per round, so a failing round replays.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn spin(iters: u64) {
+    for _ in 0..iters {
+        std::hint::spin_loop();
+    }
+}
+
+/// A spinning two-party start line: unlike a blocking barrier, neither
+/// side sleeps, so the seeded offsets below decide the interleaving.
+fn start_line(arrived: &AtomicUsize) {
+    arrived.fetch_add(1, Ordering::AcqRel);
+    while arrived.load(Ordering::Acquire) < 2 {
+        std::hint::spin_loop();
+    }
+}
+
+/// `attach_succ` reads the completion flag without the lock. Racing it
+/// against `complete` on the same node, at seeded offsets: an attach
+/// either reports the edge pruned — and then sees the predecessor's
+/// body write — or creates it, and the completion releases that
+/// successor. Either way each successor becomes ready exactly once, and
+/// its `pending` ends at zero (a double release would wrap it).
+#[test]
+fn lock_free_completion_check_races_complete() {
+    const SUCCS: u32 = 16;
+    for round in 0..25 * rounds() as u64 {
+        let mut rng = round;
+        let complete_after = splitmix(&mut rng) % 3000;
+        let attach_gaps: Vec<u64> = (0..SUCCS).map(|_| splitmix(&mut rng) % 200).collect();
+        let pred = RtNode::bare(TaskId(0), "pred", None, 0);
+        let succs: Vec<NodeRef> = (1..=SUCCS)
+            .map(|i| RtNode::bare(TaskId(i), "succ", None, 0))
+            .collect();
+        let body_write = AtomicU64::new(0);
+        let arrived = AtomicUsize::new(0);
+
+        let ((releases, released), sealed_ready, pruned) = std::thread::scope(|sc| {
+            let completer = sc.spawn(|| {
+                start_line(&arrived);
+                spin(complete_after);
+                body_write.store(round + 1, Ordering::Relaxed);
+                let done = pred.complete();
+                let ready: Vec<u32> = done.ready.iter().map(|n| n.id.0).collect();
+                (done.released, ready)
+            });
+            start_line(&arrived);
+            let mut sealed_ready = Vec::new();
+            let mut pruned = 0;
+            for (s, &gap) in succs.iter().zip(&attach_gaps) {
+                spin(gap);
+                if !pred.attach_succ(s) {
+                    pruned += 1;
+                    assert_eq!(
+                        body_write.load(Ordering::Relaxed),
+                        round + 1,
+                        "round {round}: a pruned edge must see the predecessor's writes"
+                    );
+                }
+                if s.seal() {
+                    sealed_ready.push(s.id.0);
+                }
+            }
+            (completer.join().unwrap(), sealed_ready, pruned)
+        });
+
+        let mut ready: Vec<u32> = released.iter().chain(&sealed_ready).copied().collect();
+        ready.sort_unstable();
+        assert_eq!(
+            ready,
+            (1..=SUCCS).collect::<Vec<_>>(),
+            "round {round}: every successor ready exactly once ({pruned} pruned)"
+        );
+        assert_eq!(
+            releases + pruned,
+            SUCCS as usize,
+            "round {round}: the completion releases exactly the attached edges"
+        );
+        for s in &succs {
+            assert_eq!(s.pending(), 0, "round {round}: task {} pending", s.id.0);
+        }
     }
 }
 
