@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ptdg_cholesky::{CholeskyConfig, CholeskyTask};
 use ptdg_core::exec::{ExecConfig, Executor, SchedPolicy};
 use ptdg_core::opts::OptConfig;
-use ptdg_core::throttle::ThrottleConfig;
+use ptdg_core::ThrottleConfig;
 use ptdg_hpcg::{HpcgConfig, HpcgTask};
 use ptdg_lulesh::{LuleshConfig, LuleshTask};
 use ptdg_simrt::RankProgram;

@@ -3,11 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ptdg_core::access::AccessMode;
-use ptdg_core::exec::{ExecConfig, Executor, QueueBackend, SchedPolicy};
+use ptdg_core::exec::{ExecConfig, Executor, SchedPolicy};
 use ptdg_core::handle::HandleSpace;
 use ptdg_core::opts::OptConfig;
 use ptdg_core::task::TaskSpec;
-use ptdg_core::throttle::ThrottleConfig;
+use ptdg_core::ThrottleConfig;
 use std::hint::black_box;
 
 const N_TASKS: usize = 1_000;
@@ -36,56 +36,6 @@ fn bench_policies(c: &mut Criterion) {
                         session.submit(
                             TaskSpec::new("t")
                                 .depend(handles[i % 32], AccessMode::InOut)
-                                .body(|ctx| {
-                                    black_box(ctx.task);
-                                }),
-                        );
-                    }
-                    session.wait_all();
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Lock-free vs mutex `ReadyQueues` backends on the same empty-body
-/// fan-out: one root releasing `N_TASKS` successors, so the steal path
-/// (workers draining the completing worker's deque) dominates.
-fn bench_queue_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("queue_backend");
-    group.throughput(Throughput::Elements(N_TASKS as u64));
-    group.sample_size(10);
-    for backend in [QueueBackend::Locked, QueueBackend::LockFree] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{backend:?}")),
-            &backend,
-            |b, &backend| {
-                let mut space = HandleSpace::new();
-                let root = space.region("root", 64);
-                let leaves: Vec<_> = (0..N_TASKS).map(|_| space.region("l", 64)).collect();
-                let exec = Executor::with_queue_backend(
-                    ExecConfig {
-                        n_workers: 4,
-                        policy: SchedPolicy::DepthFirst,
-                        throttle: ThrottleConfig::unbounded(),
-                        profile: false,
-                        record_events: false,
-                    },
-                    backend,
-                );
-                b.iter(|| {
-                    let mut session = exec.session(OptConfig::all());
-                    session.submit(
-                        TaskSpec::new("root")
-                            .depend(root, AccessMode::Out)
-                            .body(|_| {}),
-                    );
-                    for &leaf in &leaves {
-                        session.submit(
-                            TaskSpec::new("leaf")
-                                .depend(root, AccessMode::In)
-                                .depend(leaf, AccessMode::Out)
                                 .body(|ctx| {
                                     black_box(ctx.task);
                                 }),
@@ -135,10 +85,5 @@ fn bench_persistent_region(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_policies,
-    bench_queue_backends,
-    bench_persistent_region
-);
+criterion_group!(benches, bench_policies, bench_persistent_region);
 criterion_main!(benches);

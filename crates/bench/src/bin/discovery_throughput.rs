@@ -1,14 +1,9 @@
-//! Discovery-throughput A/B: the zero-allocation hot path (node arena +
-//! inline successor/depend buffers + recycled `SpecBuf`) against a
-//! baseline sink that replicates the pre-arena allocation profile — one
-//! `Arc` node per task with a `Mutex<Vec<Arc<..>>>` successor list, and a
-//! fresh owned `TaskSpec` (depend + footprint `Vec`s) per submission.
-//!
-//! Both sides drive the *same* `DiscoveryEngine` over the same fig. 1/2
+//! Discovery throughput of the zero-allocation hot path (node arena +
+//! inline successor/depend buffers + recycled `SpecBuf`) over a fig. 1/2
 //! style workload: a multi-phase 1-D stencil whose phase width is the
 //! tasks-per-loop (TPL) knob. As TPL refines, tasks shrink and the
 //! producer's discovery rate (tasks/s materialized into the graph) becomes
-//! the bound — exactly the regime where per-task allocations dominate.
+//! the bound.
 //!
 //! A second section measures the persistent-graph replay path: whole
 //! re-instanced iterations (bulk re-arm + root publication) against full
@@ -20,110 +15,18 @@
 
 use ptdg_bench::{arr, emit_json, obj, quick, rule, Json};
 use ptdg_core::builder::SpecBuf;
-use ptdg_core::graph::{DiscoveryEngine, GraphSink, TemplateRecorder};
+use ptdg_core::graph::{DiscoveryEngine, TemplateRecorder};
 use ptdg_core::handle::{DataHandle, HandleSpace};
 use ptdg_core::opts::OptConfig;
 use ptdg_core::rt::{
     GraphInstance, InstanceOptions, NodeRef, NullProbe, PersistentInstance, ReadyTracker,
 };
-use ptdg_core::task::{SpecView, TaskId, TaskSpec};
-use ptdg_core::workdesc::{HandleSlice, WorkDesc};
+use ptdg_core::workdesc::HandleSlice;
 use ptdg_core::AccessMode;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 const REPS: usize = 3;
-
-// ---- baseline sink -------------------------------------------------------
-
-/// What every discovered node cost before the arena refactor: a separate
-/// `Arc` allocation carrying the task payload, a heap `Vec` behind a
-/// mutex for the successor list, and an `Arc` clone per edge.
-struct BaselineNode {
-    pending: AtomicU32,
-    succs: Mutex<Vec<Arc<BaselineNode>>>,
-    // The payload the pre-arena node carried (bodies off in this A/B).
-    #[allow(dead_code)]
-    name: &'static str,
-    #[allow(dead_code)]
-    fp_bytes: u32,
-    #[allow(dead_code)]
-    iter: std::sync::atomic::AtomicU64,
-}
-
-impl BaselineNode {
-    fn new(name: &'static str, fp_bytes: u32) -> Arc<BaselineNode> {
-        Arc::new(BaselineNode {
-            pending: AtomicU32::new(1), // creation token
-            succs: Mutex::new(Vec::new()),
-            name,
-            fp_bytes,
-            iter: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-}
-
-/// A [`GraphSink`] with the old allocation behaviour but the *same*
-/// runtime obligations as [`GraphInstance`] — tracker accounting and
-/// probe lifecycle checks — so the A/B isolates the allocation strategy,
-/// not ancillary bookkeeping.
-struct BaselineSink {
-    nodes: Vec<Arc<BaselineNode>>,
-    ready: Vec<Arc<BaselineNode>>,
-    tracker: Arc<ReadyTracker>,
-    probe: Arc<dyn ptdg_core::rt::RtProbe>,
-}
-
-impl BaselineSink {
-    fn new() -> BaselineSink {
-        BaselineSink {
-            nodes: Vec::new(),
-            ready: Vec::new(),
-            tracker: Arc::new(ReadyTracker::new()),
-            probe: Arc::new(NullProbe),
-        }
-    }
-}
-
-impl GraphSink for BaselineSink {
-    fn add_task(&mut self, spec: &SpecView<'_>) -> TaskId {
-        self.tracker.created(1);
-        self.nodes.push(BaselineNode::new(spec.name, spec.fp_bytes));
-        if self.probe.lifecycle_enabled() {
-            self.probe
-                .task_created(TaskId(self.nodes.len() as u32 - 1), 0);
-        }
-        TaskId(self.nodes.len() as u32 - 1)
-    }
-
-    fn add_redirect(&mut self) -> TaskId {
-        self.tracker.created(1);
-        self.nodes.push(BaselineNode::new("<redirect>", 0));
-        TaskId(self.nodes.len() as u32 - 1)
-    }
-
-    fn add_edge(&mut self, pred: TaskId, succ: TaskId) -> bool {
-        let s = Arc::clone(&self.nodes[succ.index()]);
-        s.pending.fetch_add(1, Ordering::Relaxed);
-        self.nodes[pred.index()].succs.lock().unwrap().push(s);
-        true
-    }
-
-    fn seal(&mut self, task: TaskId) {
-        let n = &self.nodes[task.index()];
-        if n.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if self.probe.lifecycle_enabled() {
-                self.probe.task_ready(task, 0);
-            }
-            self.ready.push(Arc::clone(n));
-        }
-    }
-
-    fn wants_bodies(&self) -> bool {
-        false
-    }
-}
 
 // ---- workload ------------------------------------------------------------
 
@@ -161,46 +64,7 @@ fn describe(buf: &mut SpecBuf, st: &Stencil, p: usize, t: usize, tpl: usize) {
         .flops(4096.0);
 }
 
-// ---- streaming A/B -------------------------------------------------------
-
-/// Baseline: owned `TaskSpec` per task into the `Arc`/`Mutex` sink.
-#[allow(clippy::needless_range_loop)] // t/j are stencil slice indices
-fn baseline_tasks_per_s(tpl: usize, phases: usize) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..REPS {
-        let st = stencil(tpl);
-        let mut engine = DiscoveryEngine::new(OptConfig::all());
-        engine.reserve(2 * tpl * phases, 2 * tpl);
-        let mut sink = BaselineSink::new();
-        sink.nodes.reserve(2 * tpl * phases); // table growth is not under test
-        let t0 = Instant::now();
-        for p in 0..phases {
-            let (src, dst) = if p.is_multiple_of(2) {
-                (&st.a, &st.b)
-            } else {
-                (&st.b, &st.a)
-            };
-            for t in 0..tpl {
-                let mut spec = TaskSpec::new("stencil");
-                let mut footprint = Vec::new();
-                for j in t.saturating_sub(1)..=(t + 1).min(tpl - 1) {
-                    spec = spec.depend(src[j], AccessMode::In);
-                    footprint.push(HandleSlice::whole(src[j], 4096));
-                }
-                spec = spec.depend(dst[t], AccessMode::Out);
-                footprint.push(HandleSlice::whole(dst[t], 4096));
-                spec = spec.work(WorkDesc {
-                    flops: 4096.0,
-                    footprint,
-                });
-                engine.submit(&mut sink, &spec);
-                sink.ready.clear();
-            }
-        }
-        best = best.max((tpl * phases) as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
-}
+// ---- streaming discovery -----------------------------------------------
 
 /// Arena path: recycled `SpecBuf` into the kernel's `GraphInstance`.
 fn arena_tasks_per_s(tpl: usize, phases: usize) -> f64 {
@@ -235,7 +99,7 @@ fn arena_tasks_per_s(tpl: usize, phases: usize) -> f64 {
     best
 }
 
-// ---- persistent replay A/B -----------------------------------------------
+// ---- persistent replay ---------------------------------------------------
 
 /// (rediscover_tasks_per_s, replay_tasks_per_s) for `iters` iterations of
 /// the same `tpl × phases` stencil graph.
@@ -308,39 +172,28 @@ fn main() {
     let replay_iters: u64 = if quick { 24 } else { 128 };
     let tpl_sweep: &[usize] = &[64, 128, 256, 512, 1024];
 
-    println!("discovery throughput — arena/SpecBuf hot path vs pre-arena baseline sink");
+    println!("discovery throughput — arena/SpecBuf hot path");
     println!("three-point stencil, {total_tasks} tasks per measurement, best of {REPS}\n");
-    println!(
-        "{:>8} {:>8} {:>15} {:>15} {:>9}",
-        "TPL", "phases", "baseline(t/s)", "arena(t/s)", "speedup"
-    );
-    rule(60);
+    println!("{:>8} {:>8} {:>15}", "TPL", "phases", "arena(t/s)");
+    rule(34);
 
     let mut rows: Vec<Json> = Vec::new();
-    let mut fine_speedup = 0.0f64;
+    let mut fine_rate = 0.0f64;
     for &tpl in tpl_sweep {
         let phases = (total_tasks / tpl).max(2);
-        let base = baseline_tasks_per_s(tpl, phases);
         let arena = arena_tasks_per_s(tpl, phases);
-        let speedup = arena / base;
-        if tpl == *tpl_sweep.last().unwrap() {
-            fine_speedup = speedup;
-        }
-        println!("{tpl:>8} {phases:>8} {base:>15.0} {arena:>15.0} {speedup:>8.2}x");
+        fine_rate = arena;
+        println!("{tpl:>8} {phases:>8} {arena:>15.0}");
         rows.push(obj([
             ("tpl", (tpl as u64).into()),
             ("phases", (phases as u64).into()),
-            ("baseline_tasks_per_s", base.into()),
             ("arena_tasks_per_s", arena.into()),
-            ("speedup", speedup.into()),
         ]));
     }
-    rule(60);
-    let wins = fine_speedup >= 1.3;
+    rule(34);
     println!(
-        "arena speedup at finest TPL ({}): {fine_speedup:.2}x (target >= 1.30x): {}",
-        tpl_sweep.last().unwrap(),
-        if wins { "yes" } else { "NO" }
+        "arena tasks/s at finest TPL ({}): {fine_rate:.0}",
+        tpl_sweep.last().unwrap()
     );
 
     // Persistent replay at a representative fine-TPL point.
@@ -356,8 +209,6 @@ fn main() {
         obj([
             ("total_tasks", (total_tasks as u64).into()),
             ("rows", arr(rows)),
-            ("fine_tpl_speedup", fine_speedup.into()),
-            ("arena_wins_fine_tpl", wins.into()),
             (
                 "replay",
                 obj([

@@ -8,7 +8,7 @@
 
 use ptdg_bench::{arr, emit_json, maybe_trace, obj, quick, rule, s};
 use ptdg_core::opts::OptConfig;
-use ptdg_core::throttle::ThrottleConfig;
+use ptdg_core::ThrottleConfig;
 use ptdg_lulesh::{LuleshConfig, LuleshTask};
 use ptdg_simrt::{simulate_tasks, MachineConfig, SimConfig};
 

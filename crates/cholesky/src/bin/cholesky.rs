@@ -9,7 +9,7 @@ use ptdg_cholesky::{CholeskyConfig, CholeskyTask};
 use ptdg_core::exec::{run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig};
 use ptdg_core::obs::{chrome_trace, critical_path};
 use ptdg_core::opts::OptConfig;
-use ptdg_core::throttle::ThrottleConfig;
+use ptdg_core::ThrottleConfig;
 use ptdg_simrt::RankProgram;
 use std::path::PathBuf;
 

@@ -12,13 +12,13 @@ use crate::obs::{EventRecorder, ObsReport};
 use crate::opts::OptConfig;
 use crate::profile::{Span, SpanKind, Trace};
 use crate::rt::{HoldGate, NodeRef, Parker, ReadyQueues, ReadyTracker, RtProbe};
+use crate::rt::{ThrottleConfig, ThrottleGate};
 use crate::task::TaskCtx;
-use crate::throttle::{ThrottleConfig, ThrottleGate};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use crate::rt::{QueueBackend, SchedPolicy};
+pub use crate::rt::SchedPolicy;
 
 /// Executor configuration.
 #[derive(Clone, Debug)]
@@ -402,39 +402,27 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Spawn an executor with `cfg.n_workers` worker threads on the
-    /// lock-free scheduler fast path (Chase–Lev deques + injector).
-    pub fn new(cfg: ExecConfig) -> Executor {
-        Self::with_queue_backend(cfg, QueueBackend::LockFree)
-    }
-
-    /// Spawn an executor with an explicit [`QueueBackend`] — the mutex
-    /// baseline is kept selectable so `scheduler_throughput` (and any
-    /// future A/B) can measure the lock-free path against it.
+    /// Spawn an executor with `cfg.n_workers` worker threads over the
+    /// kernel's ready queues (Chase–Lev deques + injector).
     ///
     /// The executor is rank 0 of its own private 1-rank [`CommWorld`], so
     /// detach semantics hold unconditionally: a comm task always releases
     /// its core at post time, even on a lone executor.
-    pub fn with_queue_backend(cfg: ExecConfig, backend: QueueBackend) -> Executor {
+    pub fn new(cfg: ExecConfig) -> Executor {
         let world = Arc::new(CommWorld::new(1, CommConfig::default()));
-        Self::with_comm_world(cfg, backend, world, 0)
+        Self::with_comm_world(cfg, world, 0)
     }
 
     /// Spawn an executor as rank `rank` of a shared [`CommWorld`] — one
     /// pool per rank, all inside this process, exchanging messages
     /// through the world's mailboxes (the thread back-end's multi-rank
     /// mode).
-    pub fn with_comm_world(
-        cfg: ExecConfig,
-        backend: QueueBackend,
-        world: Arc<CommWorld>,
-        rank: u32,
-    ) -> Executor {
+    pub fn with_comm_world(cfg: ExecConfig, world: Arc<CommWorld>, rank: u32) -> Executor {
         assert!(cfg.n_workers >= 1, "need at least one worker");
         assert!(rank < world.n_ranks(), "rank out of range for comm world");
         let record = cfg.profile || cfg.record_events;
         let pool = Arc::new(Pool {
-            queues: ReadyQueues::with_backend(cfg.policy, cfg.n_workers, backend),
+            queues: ReadyQueues::new_lock_free(cfg.policy, cfg.n_workers),
             tracker: Arc::new(ReadyTracker::new()),
             gate: HoldGate::new(false),
             throttle: ThrottleGate::new(cfg.throttle),

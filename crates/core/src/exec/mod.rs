@@ -16,7 +16,7 @@
 //!   just-produced data run next on the same core; other workers steal
 //!   from the opposite (FIFO) end. A breadth-first mode (global FIFO
 //!   queue) is provided for comparison;
-//! * **throttling** ([`crate::throttle::ThrottleConfig`]) can turn the
+//! * **throttling** ([`crate::rt::ThrottleConfig`]) can turn the
 //!   producer into a consumer when ready/live bounds are exceeded;
 //! * the kernel's **hold gate** supports the paper's *non-overlapped*
 //!   configuration (Table 1): the whole graph is discovered before any
@@ -38,7 +38,7 @@ mod session;
 #[cfg(test)]
 mod tests;
 
-pub use executor::{ExecConfig, Executor, QueueBackend, SchedPolicy};
+pub use executor::{ExecConfig, Executor, SchedPolicy};
 pub use persistent::PersistentRegion;
 pub use run::{run_program, ThreadsConfig, ThreadsReport};
 pub use session::Session;

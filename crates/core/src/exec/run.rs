@@ -7,7 +7,7 @@
 //! `Iallreduce` tasks post real requests, detach, and complete off-core
 //! when the request matches — the same contract the simulator models.
 
-use super::executor::{ExecConfig, Executor, QueueBackend};
+use super::executor::{ExecConfig, Executor};
 use crate::comm::{CommConfig, CommError, CommWorld};
 use crate::graph::{DiscoveryStats, GraphTemplate};
 use crate::obs::{RtCounters, RtEvent};
@@ -104,7 +104,7 @@ fn run_rank<P: RankProgram + Sync + ?Sized>(
         exec_cfg.profile = false;
         exec_cfg.record_events = false;
     }
-    let exec = Executor::with_comm_world(exec_cfg, QueueBackend::LockFree, world, rank);
+    let exec = Executor::with_comm_world(exec_cfg, world, rank);
     let mut out = RankOutput {
         stats: DiscoveryStats::default(),
         discovery_ns: 0,

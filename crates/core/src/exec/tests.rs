@@ -4,8 +4,8 @@ use super::*;
 use crate::access::AccessMode;
 use crate::handle::HandleSpace;
 use crate::opts::OptConfig;
+use crate::rt::ThrottleConfig;
 use crate::task::TaskSpec;
-use crate::throttle::ThrottleConfig;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 

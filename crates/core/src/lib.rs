@@ -93,9 +93,6 @@ pub mod task;
 pub mod util;
 pub mod workdesc;
 
-// Throttling moved into the runtime kernel; keep the historical path.
-pub use rt::throttle;
-
 pub use access::{AccessMode, Depend};
 pub use builder::{IterationBuilder, SpecBuf, TaskSubmitter};
 pub use comm::{CommConfig, CommError, CommWorld, UnmatchedComm};

@@ -4,12 +4,12 @@
 //! a slot with one `fetch_add` and publishes it with one release store —
 //! no mutex, no allocation, no syscall. Claims made on different threads
 //! are ordered by the same atomic, so any two causally-ordered records
-//! (e.g. a task's `Ready` released under a queue lock before another
-//! core's `Scheduled`) land in causal order; per-task event sequences can
-//! therefore be read straight off the drained stream. When a ring fills,
-//! writers overflow into a mutex-guarded spill vector — correctness is
-//! kept, only the "lock-free" property degrades, and the spill count is
-//! reported so a run can be re-traced with larger rings.
+//! (e.g. a task's `Ready`, recorded before the ready-queue push that hands
+//! it to another core, and that core's `Scheduled`) land in causal order;
+//! per-task event sequences can therefore be read straight off the
+//! drained stream. When a ring fills, writers overflow into a
+//! mutex-guarded spill vector — no record is lost, only the "lock-free"
+//! property degrades.
 //!
 //! The recorder also *measures itself*: [`EventRecorder::finish`] times a
 //! burst of synthetic records and scales by the number of records actually
@@ -70,13 +70,6 @@ impl<T: Copy> Ring<T> {
                 .unwrap_or_else(|e| e.into_inner())
                 .push(value);
         }
-    }
-
-    /// Number of records spilled past the preallocated capacity.
-    fn spilled(&self) -> usize {
-        self.head
-            .load(Ordering::SeqCst)
-            .saturating_sub(self.slots.len())
     }
 
     /// Drain every record in claim order (ring first, then spill). Must
@@ -190,16 +183,11 @@ impl EventRecorder {
     /// wall-clock discovery-only trace keeps its arbitrary origin).
     pub fn finish(&self, rebase: bool, n_workers: usize, discovery_ns: u64) -> ObsReport {
         let mut spans: Vec<Span> = Vec::new();
-        let mut spilled = 0usize;
         for lane in &self.lanes {
-            spilled += lane.spilled();
             spans.append(&mut lane.drain());
         }
         let mut events = match &self.events {
-            Some(ring) => {
-                spilled += ring.spilled();
-                ring.drain()
-            }
+            Some(ring) => ring.drain(),
             None => Vec::new(),
         };
         let n_records = (spans.len() + events.len()) as u64;
@@ -243,7 +231,6 @@ impl EventRecorder {
             },
             ..Default::default()
         };
-        let _ = spilled; // spills are kept, not dropped (see module docs)
         ObsReport {
             trace: Trace {
                 spans,
@@ -333,6 +320,16 @@ mod tests {
         let obs = r.finish(true, 1, 1_000);
         assert_eq!(obs.trace.spans.iter().map(|s| s.start_ns).min(), Some(0));
         assert_eq!(obs.trace.span_ns, 1_000, "falls back to full extent");
+    }
+
+    #[test]
+    fn execution_extent_excludes_discovery() {
+        // discovery spans 0..1000 on the producer lane, work only 400..600
+        let r = EventRecorder::new(2, false);
+        r.span(span(1, 0, 1_000, SpanKind::Discovery));
+        r.span(span(0, 400, 600, SpanKind::Work));
+        let obs = r.finish(true, 2, 1_000);
+        assert_eq!(obs.trace.span_ns, 200, "span_ns is the execution extent");
     }
 
     #[test]

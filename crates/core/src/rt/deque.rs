@@ -4,8 +4,7 @@
 //! One [`WorkDeque`] belongs to one worker (the *owner*), which pushes and
 //! pops at the bottom end (LIFO — the depth-first policy's data-reuse
 //! order). Any other thread may [`WorkDeque::steal`] from the top end
-//! (FIFO — thieves take the *oldest* task, exactly the order the
-//! `Mutex<VecDeque>` lanes used `pop_front` for). The algorithm is the
+//! (FIFO — thieves take the *oldest* task). The algorithm is the
 //! weak-memory-model formulation of Lê, Pop, Cohen & Zappa Nardelli,
 //! *Correct and Efficient Work-Stealing for Weak Memory Models* (PPoPP'13);
 //! the memory orderings below follow that paper and are individually

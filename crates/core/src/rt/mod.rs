@@ -41,7 +41,7 @@ pub use instance::{GraphInstance, InstanceOptions};
 pub use node::{Completion, RtNode};
 pub use park::{ParkTicket, Parker};
 pub use persistent::{PersistentInstance, REINSTANCE_BATCH};
-pub use probe::{NullProbe, RtProbe, SpanCollector};
-pub use queue::{QueueBackend, ReadyQueues, SchedPolicy, TaskKey};
+pub use probe::{NullProbe, RtProbe};
+pub use queue::{ReadyQueues, SchedPolicy, TaskKey};
 pub use ready::ReadyTracker;
 pub use throttle::{ThrottleConfig, ThrottleGate};

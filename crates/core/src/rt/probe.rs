@@ -15,9 +15,8 @@
 //! pair. The result feeds one analysis pipeline
 //! ([`crate::profile::Trace`], [`crate::obs`]).
 
-use crate::profile::{Span, SpanKind, Trace};
+use crate::profile::Span;
 use crate::task::TaskId;
-use std::sync::Mutex;
 
 /// Observer of kernel-level task events. All hooks default to no-ops so a
 /// backend only implements what it measures. Timestamps are nanoseconds
@@ -53,162 +52,3 @@ pub trait RtProbe: Send + Sync {
 pub struct NullProbe;
 
 impl RtProbe for NullProbe {}
-
-/// A probe that collects [`Span`]s into per-lane buffers (lane =
-/// worker/core index, plus one extra lane for the producer).
-///
-/// This is the simple mutex-per-lane collector; the executors' hot path
-/// uses the lock-free [`crate::obs::EventRecorder`] instead. Kept for
-/// tests and lightweight ad-hoc collection.
-pub struct SpanCollector {
-    bufs: Vec<Mutex<Vec<Span>>>,
-}
-
-impl SpanCollector {
-    /// A collector with `lanes` buffers — size it from the kernel's
-    /// worker count (workers plus one producer lane).
-    pub fn new(lanes: usize) -> Self {
-        SpanCollector {
-            bufs: (0..lanes).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    /// All collected spans, unordered (virtual-time back-end: timestamps
-    /// are already zero-based).
-    pub fn take_spans(&self) -> Vec<Span> {
-        let mut all = Vec::new();
-        for b in &self.bufs {
-            all.append(&mut b.lock().unwrap_or_else(|e| e.into_inner()));
-        }
-        all
-    }
-
-    /// Build a [`Trace`], rebasing all timestamps so the earliest span
-    /// starts at zero (wall-clock back-end: spans carry `Instant`-derived
-    /// offsets from an arbitrary origin). `span_ns` measures the extent
-    /// of *execution* spans; a discovery-only trace falls back to the
-    /// full extent so it stays zero-based and well-formed.
-    pub fn take_trace(&self, n_workers: usize, discovery_ns: u64) -> Trace {
-        let mut spans = self.take_spans();
-        let t_min = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
-        for s in &mut spans {
-            s.start_ns -= t_min;
-            s.end_ns -= t_min;
-        }
-        let extent = |pred: &dyn Fn(&Span) -> bool| {
-            let lo = spans.iter().filter(|s| pred(s)).map(|s| s.start_ns).min();
-            let hi = spans.iter().filter(|s| pred(s)).map(|s| s.end_ns).max();
-            match (lo, hi) {
-                (Some(lo), Some(hi)) => Some(hi - lo),
-                _ => None,
-            }
-        };
-        let span_ns = extent(&|s: &Span| s.kind != SpanKind::Discovery)
-            .or_else(|| extent(&|_| true))
-            .unwrap_or(0);
-        Trace {
-            spans,
-            n_workers,
-            discovery_ns,
-            span_ns,
-        }
-    }
-}
-
-impl RtProbe for SpanCollector {
-    fn span(&self, span: Span) {
-        let lane = span.worker as usize;
-        debug_assert!(
-            lane < self.bufs.len(),
-            "span from out-of-range lane {lane} (collector has {})",
-            self.bufs.len()
-        );
-        let lane = lane.min(self.bufs.len().saturating_sub(1));
-        self.bufs[lane]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(span);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::profile::SpanKind;
-
-    #[test]
-    fn collector_rebases_trace() {
-        let c = SpanCollector::new(2);
-        c.span(Span {
-            worker: 0,
-            start_ns: 1_000,
-            end_ns: 1_500,
-            kind: SpanKind::Work,
-            name: "a",
-            iter: 0,
-        });
-        c.span(Span {
-            worker: 1,
-            start_ns: 1_200,
-            end_ns: 2_000,
-            kind: SpanKind::Work,
-            name: "b",
-            iter: 0,
-        });
-        let t = c.take_trace(2, 42);
-        assert_eq!(t.span_ns, 1_000);
-        assert_eq!(t.discovery_ns, 42);
-        assert_eq!(t.spans.iter().map(|s| s.start_ns).min(), Some(0));
-    }
-
-    #[test]
-    fn discovery_only_trace_is_zero_based() {
-        // Regression: wall-clock offsets are huge; a trace holding only
-        // discovery spans must still be rebased to zero.
-        let c = SpanCollector::new(1);
-        c.span(Span {
-            worker: 0,
-            start_ns: 7_000_000_000,
-            end_ns: 7_000_000_500,
-            kind: SpanKind::Discovery,
-            name: "<discovery>",
-            iter: 0,
-        });
-        c.span(Span {
-            worker: 0,
-            start_ns: 7_000_000_500,
-            end_ns: 7_000_001_000,
-            kind: SpanKind::Discovery,
-            name: "<discovery>",
-            iter: 0,
-        });
-        let t = c.take_trace(1, 1_000);
-        assert_eq!(t.spans.iter().map(|s| s.start_ns).min(), Some(0));
-        assert_eq!(t.spans.iter().map(|s| s.end_ns).max(), Some(1_000));
-        assert_eq!(t.span_ns, 1_000, "falls back to the discovery extent");
-    }
-
-    #[test]
-    fn execution_extent_excludes_discovery() {
-        let c = SpanCollector::new(2);
-        // discovery from 0..1000, work only 400..600
-        c.span(Span {
-            worker: 1,
-            start_ns: 0,
-            end_ns: 1_000,
-            kind: SpanKind::Discovery,
-            name: "<discovery>",
-            iter: 0,
-        });
-        c.span(Span {
-            worker: 0,
-            start_ns: 400,
-            end_ns: 600,
-            kind: SpanKind::Work,
-            name: "t",
-            iter: 0,
-        });
-        let t = c.take_trace(2, 1_000);
-        assert_eq!(t.span_ns, 200, "span_ns is the execution extent");
-    }
-}

@@ -1,29 +1,22 @@
 //! Ready-task queues implementing the paper's two scheduling heuristics.
 //!
 //! The *placement and steal order* — depth-first locality vs
-//! breadth-first discovery order — is the shared policy; the storage
-//! behind it comes in two flavours behind one API:
+//! breadth-first discovery order — is the policy; the storage behind it
+//! is a Chase–Lev [`WorkDeque`] per core plus a segmented lock-free
+//! [`Injector`] FIFO. Owner push/pop never contends, thieves and
+//! producers are lock-free.
 //!
-//! * [`QueueBackend::Locked`] — `Mutex<VecDeque>` lanes. Sequential and
-//!   deterministic; the DES simulator and the property-test model use it
-//!   so simulated steal order stays reproducible.
-//! * [`QueueBackend::LockFree`] — a Chase–Lev [`WorkDeque`] per core
-//!   plus a segmented lock-free [`Injector`] FIFO. The thread executor's
-//!   hot path: owner push/pop never contends, thieves and producers are
-//!   lock-free.
-//!
-//! Both backends expose identical single-threaded pop order (pinned by
-//! the unit tests below, which run every case against both), so
-//! `tests/backend_equivalence.rs` keeps holding regardless of which one
-//! a back-end picks.
+//! Both back-ends run on these lanes. The DES simulator stays
+//! deterministic because its driver is single-threaded: with one thread,
+//! pop order is a pure function of the push/pop sequence (pinned by the
+//! unit tests below and by the sequential-model proptest in
+//! `tests/scheduler_stress.rs`).
 
 use super::deque::{Steal, WorkDeque};
 use super::injector::Injector;
 use super::probe::RtProbe;
 use crate::task::TaskId;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Queue elements that can name the task they carry, so
 /// [`ReadyQueues::pop_with`] can narrate scheduling through a probe.
@@ -56,36 +49,12 @@ pub enum SchedPolicy {
     BreadthFirst,
 }
 
-/// Storage strategy behind [`ReadyQueues`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// `Mutex<VecDeque>` lanes — sequential back-ends and models.
-    Locked,
-    /// Chase–Lev deques + lock-free injector — the thread executor.
-    #[default]
-    LockFree,
-}
-
-// One instance per executor; the injector's cache-line padding dominates
-// the size and boxing it would put a pointer chase on the hot path.
-#[allow(clippy::large_enum_variant)]
-enum Lanes<T> {
-    Locked {
-        global: Mutex<VecDeque<T>>,
-        local: Vec<Mutex<VecDeque<T>>>,
-    },
-    LockFree {
-        injector: Injector<T>,
-        local: Vec<WorkDeque<T>>,
-    },
-}
-
 /// Per-core local deques plus a global queue, policy-driven. The thread
 /// executor stores `Arc<RtNode>`; the simulator stores node indices —
 /// the *placement and steal order* is the shared policy, the element type
 /// is not.
 ///
-/// # Ownership contract (lock-free backend)
+/// # Ownership contract
 ///
 /// `push(item, Some(c))` under depth-first targets core `c`'s Chase–Lev
 /// deque, whose bottom end is single-owner: it must only be called from
@@ -93,12 +62,14 @@ enum Lanes<T> {
 /// this by construction — local pushes happen exclusively inside
 /// `run_task` on the completing worker itself; producers, the hold gate
 /// and persistent publishing all push with `local = None` (the
-/// injector, which is MPMC). The locked backend has no such restriction.
+/// injector, which is MPMC). The simulator's single-threaded driver
+/// satisfies it trivially.
 pub struct ReadyQueues<T> {
     policy: SchedPolicy,
-    lanes: Lanes<T>,
+    injector: Injector<T>,
+    local: Vec<WorkDeque<T>>,
     /// Cached element count so `len`/`is_empty` diagnostics and the
-    /// throttle/wait loops never sweep per-lane locks. Incremented
+    /// throttle/wait loops never sweep the lanes. Incremented
     /// *before* the push and decremented *after* a successful pop, so
     /// the count may transiently over-report but never under-reports a
     /// queued task — idle loops that see 0 here can trust it.
@@ -109,31 +80,12 @@ pub struct ReadyQueues<T> {
 }
 
 impl<T> ReadyQueues<T> {
-    /// Sequential-friendly queues (locked backend) for `n_cores` cores
-    /// under `policy`. The DES simulator and model tests use this.
-    pub fn new(policy: SchedPolicy, n_cores: usize) -> Self {
-        Self::with_backend(policy, n_cores, QueueBackend::Locked)
-    }
-
-    /// Lock-free queues for the thread executor.
+    /// Queues for `n_cores` cores under `policy`.
     pub fn new_lock_free(policy: SchedPolicy, n_cores: usize) -> Self {
-        Self::with_backend(policy, n_cores, QueueBackend::LockFree)
-    }
-
-    pub fn with_backend(policy: SchedPolicy, n_cores: usize, backend: QueueBackend) -> Self {
-        let lanes = match backend {
-            QueueBackend::Locked => Lanes::Locked {
-                global: Mutex::new(VecDeque::new()),
-                local: (0..n_cores).map(|_| Mutex::new(VecDeque::new())).collect(),
-            },
-            QueueBackend::LockFree => Lanes::LockFree {
-                injector: Injector::new(),
-                local: (0..n_cores).map(|_| WorkDeque::new()).collect(),
-            },
-        };
         ReadyQueues {
             policy,
-            lanes,
+            injector: Injector::new(),
+            local: (0..n_cores).map(|_| WorkDeque::new()).collect(),
             count: AtomicUsize::new(0),
             steal_attempts: AtomicU64::new(0),
             steal_successes: AtomicU64::new(0),
@@ -144,22 +96,8 @@ impl<T> ReadyQueues<T> {
         self.policy
     }
 
-    pub fn backend(&self) -> QueueBackend {
-        match self.lanes {
-            Lanes::Locked { .. } => QueueBackend::Locked,
-            Lanes::LockFree { .. } => QueueBackend::LockFree,
-        }
-    }
-
     fn n_cores(&self) -> usize {
-        match &self.lanes {
-            Lanes::Locked { local, .. } => local.len(),
-            Lanes::LockFree { local, .. } => local.len(),
-        }
-    }
-
-    fn lock<'a>(m: &'a Mutex<VecDeque<T>>) -> std::sync::MutexGuard<'a, VecDeque<T>> {
-        m.lock().unwrap_or_else(|e| e.into_inner())
+        self.local.len()
     }
 
     /// Enqueue a ready task. Under depth-first, a task made ready by core
@@ -174,31 +112,9 @@ impl<T> ReadyQueues<T> {
         // later decrements happens-after the push), so the counter can
         // never go negative; no other ordering is relied on.
         self.count.fetch_add(1, Ordering::Relaxed);
-        let to_local = matches!(
-            (self.policy, local),
-            (SchedPolicy::DepthFirst, Some(c)) if c < self.n_cores()
-        );
-        match &self.lanes {
-            Lanes::Locked {
-                global,
-                local: lanes,
-            } => {
-                if to_local {
-                    Self::lock(&lanes[local.unwrap()]).push_back(item);
-                } else {
-                    Self::lock(global).push_back(item);
-                }
-            }
-            Lanes::LockFree {
-                injector,
-                local: lanes,
-            } => {
-                if to_local {
-                    lanes[local.unwrap()].push(item);
-                } else {
-                    injector.push(item);
-                }
-            }
+        match (self.policy, local) {
+            (SchedPolicy::DepthFirst, Some(c)) if c < self.n_cores() => self.local[c].push(item),
+            _ => self.injector.push(item),
         }
     }
 
@@ -215,77 +131,43 @@ impl<T> ReadyQueues<T> {
     }
 
     fn pop_inner(&self, worker: Option<usize>) -> Option<(T, bool)> {
-        match &self.lanes {
-            Lanes::Locked { global, local } => {
-                if self.policy == SchedPolicy::DepthFirst {
-                    if let Some(w) = worker {
-                        if w < local.len() {
-                            if let Some(item) = Self::lock(&local[w]).pop_back() {
-                                return Some((item, false));
-                            }
-                        }
+        if self.policy == SchedPolicy::DepthFirst {
+            if let Some(w) = worker {
+                if w < self.n_cores() {
+                    if let Some(item) = self.local[w].pop() {
+                        return Some((item, false));
                     }
                 }
-                if let Some(item) = Self::lock(global).pop_front() {
-                    return Some((item, false));
+            }
+        }
+        if let Some(item) = self.injector.pop() {
+            return Some((item, false));
+        }
+        if self.policy == SchedPolicy::DepthFirst {
+            let n = self.n_cores();
+            let start = worker.map_or(0, |w| w + 1);
+            for i in 0..n {
+                let victim = (start + i) % n;
+                if Some(victim) == worker {
+                    continue;
                 }
-                if self.policy == SchedPolicy::DepthFirst {
-                    let n = local.len();
-                    let start = worker.map_or(0, |w| w + 1);
-                    for i in 0..n {
-                        let victim = (start + i) % n;
-                        if Some(victim) == worker {
-                            continue;
-                        }
-                        self.steal_attempts.fetch_add(1, Ordering::Relaxed);
-                        if let Some(item) = Self::lock(&local[victim]).pop_front() {
+                // Retry the victim while the steal aborts on a CAS race —
+                // an abort means someone else took an element, so the
+                // deque may still hold more.
+                loop {
+                    self.steal_attempts.fetch_add(1, Ordering::Relaxed);
+                    match self.local[victim].steal() {
+                        Steal::Success(item) => {
                             self.steal_successes.fetch_add(1, Ordering::Relaxed);
                             return Some((item, true));
                         }
+                        Steal::Abort => continue,
+                        Steal::Empty => break,
                     }
                 }
-                None
-            }
-            Lanes::LockFree { injector, local } => {
-                if self.policy == SchedPolicy::DepthFirst {
-                    if let Some(w) = worker {
-                        if w < local.len() {
-                            if let Some(item) = local[w].pop() {
-                                return Some((item, false));
-                            }
-                        }
-                    }
-                }
-                if let Some(item) = injector.pop() {
-                    return Some((item, false));
-                }
-                if self.policy == SchedPolicy::DepthFirst {
-                    let n = local.len();
-                    let start = worker.map_or(0, |w| w + 1);
-                    for i in 0..n {
-                        let victim = (start + i) % n;
-                        if Some(victim) == worker {
-                            continue;
-                        }
-                        // Retry the victim while the steal aborts on a
-                        // CAS race — an abort means someone else took an
-                        // element, so the deque may still hold more.
-                        loop {
-                            self.steal_attempts.fetch_add(1, Ordering::Relaxed);
-                            match local[victim].steal() {
-                                Steal::Success(item) => {
-                                    self.steal_successes.fetch_add(1, Ordering::Relaxed);
-                                    return Some((item, true));
-                                }
-                                Steal::Abort => continue,
-                                Steal::Empty => break,
-                            }
-                        }
-                    }
-                }
-                None
             }
         }
+        None
     }
 
     /// [`ReadyQueues::pop`] narrated through a probe: emits
@@ -332,91 +214,73 @@ impl<T> ReadyQueues<T> {
 mod tests {
     use super::*;
 
-    const BACKENDS: [QueueBackend; 2] = [QueueBackend::Locked, QueueBackend::LockFree];
-
     #[test]
     fn depth_first_local_is_lifo() {
-        for be in BACKENDS {
-            let q = ReadyQueues::with_backend(SchedPolicy::DepthFirst, 2, be);
-            q.push(1, Some(0));
-            q.push(2, Some(0));
-            assert_eq!(q.pop(Some(0)), Some((2, false)), "{be:?}");
-            assert_eq!(q.pop(Some(0)), Some((1, false)), "{be:?}");
-            assert_eq!(q.pop(Some(0)), None, "{be:?}");
-        }
+        let q = ReadyQueues::new_lock_free(SchedPolicy::DepthFirst, 2);
+        q.push(1, Some(0));
+        q.push(2, Some(0));
+        assert_eq!(q.pop(Some(0)), Some((2, false)));
+        assert_eq!(q.pop(Some(0)), Some((1, false)));
+        assert_eq!(q.pop(Some(0)), None);
     }
 
     #[test]
     fn depth_first_steals_fifo_side() {
-        for be in BACKENDS {
-            let q = ReadyQueues::with_backend(SchedPolicy::DepthFirst, 2, be);
-            q.push(1, Some(0));
-            q.push(2, Some(0));
-            assert_eq!(q.pop(Some(1)), Some((1, true)), "steal oldest ({be:?})");
-            let (attempts, successes) = q.steal_stats();
-            assert!(attempts >= 1, "{be:?}");
-            assert_eq!(successes, 1, "{be:?}");
-        }
+        let q = ReadyQueues::new_lock_free(SchedPolicy::DepthFirst, 2);
+        q.push(1, Some(0));
+        q.push(2, Some(0));
+        assert_eq!(q.pop(Some(1)), Some((1, true)), "steal oldest");
+        let (attempts, successes) = q.steal_stats();
+        assert!(attempts >= 1);
+        assert_eq!(successes, 1);
     }
 
     #[test]
     fn global_before_steal() {
-        for be in BACKENDS {
-            let q = ReadyQueues::with_backend(SchedPolicy::DepthFirst, 2, be);
-            q.push(1, Some(0));
-            q.push(9, None);
-            assert_eq!(
-                q.pop(Some(1)),
-                Some((9, false)),
-                "global FIFO first ({be:?})"
-            );
-            assert_eq!(q.pop(Some(1)), Some((1, true)), "{be:?}");
-        }
+        let q = ReadyQueues::new_lock_free(SchedPolicy::DepthFirst, 2);
+        q.push(1, Some(0));
+        q.push(9, None);
+        assert_eq!(q.pop(Some(1)), Some((9, false)), "global FIFO first");
+        assert_eq!(q.pop(Some(1)), Some((1, true)));
     }
 
     #[test]
     fn breadth_first_is_one_fifo() {
-        for be in BACKENDS {
-            let q = ReadyQueues::with_backend(SchedPolicy::BreadthFirst, 4, be);
-            q.push(1, Some(3));
-            q.push(2, Some(0));
-            q.push(3, None);
-            assert_eq!(q.pop(Some(2)), Some((1, false)), "{be:?}");
-            assert_eq!(q.pop(None), Some((2, false)), "{be:?}");
-            assert_eq!(q.pop(Some(0)), Some((3, false)), "{be:?}");
-        }
+        let q = ReadyQueues::new_lock_free(SchedPolicy::BreadthFirst, 4);
+        q.push(1, Some(3));
+        q.push(2, Some(0));
+        q.push(3, None);
+        assert_eq!(q.pop(Some(2)), Some((1, false)));
+        assert_eq!(q.pop(None), Some((2, false)));
+        assert_eq!(q.pop(Some(0)), Some((3, false)));
     }
 
     #[test]
     fn cached_len_tracks_pushes_and_pops() {
-        for be in BACKENDS {
-            let q = ReadyQueues::with_backend(SchedPolicy::DepthFirst, 2, be);
-            assert!(q.is_empty(), "{be:?}");
-            q.push(1, Some(0));
-            q.push(2, None);
-            q.push(3, Some(1));
-            assert_eq!(q.len(), 3, "{be:?}");
-            q.pop(Some(0));
-            assert_eq!(q.len(), 2, "{be:?}");
-            while q.pop(Some(0)).is_some() {}
-            assert!(q.is_empty(), "{be:?}");
-            assert_eq!(q.len(), 0, "{be:?}");
-        }
+        let q = ReadyQueues::new_lock_free(SchedPolicy::DepthFirst, 2);
+        assert!(q.is_empty());
+        q.push(1, Some(0));
+        q.push(2, None);
+        q.push(3, Some(1));
+        assert_eq!(q.len(), 3);
+        q.pop(Some(0));
+        assert_eq!(q.len(), 2);
+        while q.pop(Some(0)).is_some() {}
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn producer_pop_drains_all_lanes() {
-        for be in BACKENDS {
-            let q = ReadyQueues::with_backend(SchedPolicy::DepthFirst, 3, be);
-            q.push(1, Some(0));
-            q.push(2, Some(2));
-            q.push(3, None);
-            let mut got = Vec::new();
-            while let Some((v, _)) = q.pop(None) {
-                got.push(v);
-            }
-            got.sort_unstable();
-            assert_eq!(got, vec![1, 2, 3], "{be:?}");
+        let q = ReadyQueues::new_lock_free(SchedPolicy::DepthFirst, 3);
+        q.push(1, Some(0));
+        q.push(2, Some(2));
+        q.push(3, None);
+        let mut got = Vec::new();
+        while let Some((v, _)) = q.pop(None) {
+            got.push(v);
         }
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2, 3]);
     }
 }

@@ -9,7 +9,7 @@
 use ptdg_core::exec::{run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig};
 use ptdg_core::obs::{chrome_trace, critical_path};
 use ptdg_core::opts::OptConfig;
-use ptdg_core::throttle::ThrottleConfig;
+use ptdg_core::ThrottleConfig;
 use ptdg_lulesh::sequential::run_sequential;
 use ptdg_lulesh::{LuleshConfig, LuleshTask, RankGrid};
 use ptdg_simrt::RankProgram;

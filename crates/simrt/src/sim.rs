@@ -33,8 +33,8 @@ use ptdg_core::rt::{
     ReadyTracker, RtProbe, SchedPolicy, ThrottleGate, REINSTANCE_BATCH,
 };
 use ptdg_core::task::{TaskId, TaskSpec};
-use ptdg_core::throttle::ThrottleConfig;
 use ptdg_core::workdesc::{CommOp, WorkDesc};
+use ptdg_core::ThrottleConfig;
 use ptdg_memsim::{BlockRange, DramContention, MemoryHierarchy};
 use ptdg_simcore::{EventQueue, SimTime, SplitRng};
 use ptdg_simmpi::{Network, ReqId};
@@ -305,7 +305,7 @@ impl<'p> TaskSim<'p> {
                     engine: DiscoveryEngine::new(cfg.opts),
                     instance,
                     tracker,
-                    queues: ReadyQueues::new(cfg.policy, n_cores),
+                    queues: ReadyQueues::new_lock_free(cfg.policy, n_cores),
                     gate: HoldGate::new(cfg.non_overlapped),
                     throttle: ThrottleGate::new(cfg.throttle),
                     pinst: None,

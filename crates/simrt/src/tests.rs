@@ -5,8 +5,8 @@ use ptdg_core::builder::TaskSubmitter;
 use ptdg_core::exec::SchedPolicy;
 use ptdg_core::handle::{DataHandle, HandleSpace};
 use ptdg_core::task::TaskSpec;
-use ptdg_core::throttle::ThrottleConfig;
 use ptdg_core::workdesc::{CommOp, HandleSlice, WorkDesc};
+use ptdg_core::ThrottleConfig;
 
 /// A chain of `n` compute tasks on one handle, `iters` iterations.
 struct Chain {

@@ -9,7 +9,7 @@
 use ptdg::cholesky::{CholeskyConfig, CholeskyTask};
 use ptdg::core::exec::{ExecConfig, Executor, SchedPolicy};
 use ptdg::core::opts::OptConfig;
-use ptdg::core::throttle::ThrottleConfig;
+use ptdg::core::ThrottleConfig;
 use ptdg::simrt::{simulate_tasks, MachineConfig, RankProgram, SimConfig};
 
 fn main() {

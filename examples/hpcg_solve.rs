@@ -8,7 +8,7 @@
 
 use ptdg::core::exec::{ExecConfig, Executor, SchedPolicy};
 use ptdg::core::opts::OptConfig;
-use ptdg::core::throttle::ThrottleConfig;
+use ptdg::core::ThrottleConfig;
 use ptdg::hpcg::{HpcgConfig, HpcgTask};
 use ptdg::simrt::{simulate_tasks, MachineConfig, RankProgram, SimConfig};
 

@@ -7,7 +7,7 @@
 
 use ptdg::core::exec::{ExecConfig, Executor, SchedPolicy};
 use ptdg::core::opts::OptConfig;
-use ptdg::core::throttle::ThrottleConfig;
+use ptdg::core::ThrottleConfig;
 use ptdg::lulesh::sequential::run_sequential;
 use ptdg::lulesh::{LuleshBsp, LuleshConfig, LuleshTask, RankGrid};
 use ptdg::simrt::{simulate_bsp, simulate_tasks, MachineConfig, RankProgram, SimConfig};

@@ -3,7 +3,7 @@
 use ptdg::cholesky::{CholeskyConfig, CholeskyTask, TileMatrix};
 use ptdg::core::exec::{ExecConfig, Executor, SchedPolicy};
 use ptdg::core::opts::OptConfig;
-use ptdg::core::throttle::ThrottleConfig;
+use ptdg::core::ThrottleConfig;
 use ptdg::simrt::RankProgram;
 
 fn executor(workers: usize) -> Executor {

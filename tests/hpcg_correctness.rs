@@ -2,7 +2,7 @@
 
 use ptdg::core::exec::{ExecConfig, Executor, SchedPolicy};
 use ptdg::core::opts::OptConfig;
-use ptdg::core::throttle::ThrottleConfig;
+use ptdg::core::ThrottleConfig;
 use ptdg::hpcg::{HpcgConfig, HpcgState, HpcgTask};
 use ptdg::simrt::RankProgram;
 

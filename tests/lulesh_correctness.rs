@@ -5,7 +5,7 @@
 
 use ptdg::core::exec::{ExecConfig, Executor, SchedPolicy};
 use ptdg::core::opts::OptConfig;
-use ptdg::core::throttle::ThrottleConfig;
+use ptdg::core::ThrottleConfig;
 use ptdg::lulesh::sequential::run_sequential;
 use ptdg::lulesh::{LuleshConfig, LuleshTask};
 use ptdg::simrt::RankProgram;

@@ -9,7 +9,7 @@ use ptdg::core::graph::{DiscoveryEngine, GraphTemplate, TemplateRecorder};
 use ptdg::core::handle::HandleSpace;
 use ptdg::core::opts::OptConfig;
 use ptdg::core::task::TaskSpec;
-use ptdg::core::throttle::ThrottleConfig;
+use ptdg::core::ThrottleConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 

@@ -1,20 +1,21 @@
 //! Stress tests for the lock-free scheduler fast path: shutdown/drain
 //! races, parking wakeups, the lock-free completion check against a
 //! racing completion, and a property pinning the lock-free pop order to
-//! the sequential locked model.
+//! a sequential `VecDeque` model of the scheduling policy.
 //!
 //! The executor rounds are intentionally repeated (`STRESS_ROUNDS`, or
 //! the `PTDG_STRESS_ROUNDS` env var — CI's release stress job raises
 //! it) so scheduling races get many chances to fire.
 
 use proptest::prelude::*;
-use ptdg::core::exec::{ExecConfig, Executor, QueueBackend, SchedPolicy};
+use ptdg::core::exec::{ExecConfig, Executor, SchedPolicy};
 use ptdg::core::handle::HandleSpace;
 use ptdg::core::opts::OptConfig;
 use ptdg::core::rt::{NodeRef, ReadyQueues, RtNode};
 use ptdg::core::task::{TaskId, TaskSpec};
-use ptdg::core::throttle::ThrottleConfig;
 use ptdg::core::AccessMode;
+use ptdg::core::ThrottleConfig;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -258,10 +259,67 @@ fn steal_and_park_counters_are_consistent() {
     assert!(obs.counters.unparks <= obs.counters.parks);
 }
 
-/// One op sequence applied to both `ReadyQueues` backends on a single
-/// thread: identical pop results (value and stolen flag), identical
-/// lengths throughout. Pin the lock-free structures to the sequential
-/// model the simulator trusts.
+/// Sequential reference for `ReadyQueues`' single-threaded pop order,
+/// written out from the policy (paper §2.2) with plain `VecDeque` lanes.
+struct QueueModel {
+    policy: SchedPolicy,
+    global: VecDeque<u32>,
+    local: Vec<VecDeque<u32>>,
+}
+
+impl QueueModel {
+    fn new(policy: SchedPolicy, cores: usize) -> QueueModel {
+        QueueModel {
+            policy,
+            global: VecDeque::new(),
+            local: vec![VecDeque::new(); cores],
+        }
+    }
+
+    /// Depth-first: a core-made-ready task goes to that core's lane;
+    /// everything else to the global FIFO.
+    fn push(&mut self, item: u32, local: Option<usize>) {
+        match (self.policy, local) {
+            (SchedPolicy::DepthFirst, Some(c)) => self.local[c].push_back(item),
+            _ => self.global.push_back(item),
+        }
+    }
+
+    /// Own lane LIFO, then global FIFO, then steal FIFO-side round-robin
+    /// from `worker + 1` (from core 0 for the producer).
+    fn pop(&mut self, worker: Option<usize>) -> Option<(u32, bool)> {
+        let depth_first = self.policy == SchedPolicy::DepthFirst;
+        if depth_first {
+            if let Some(item) = worker.and_then(|w| self.local[w].pop_back()) {
+                return Some((item, false));
+            }
+        }
+        if let Some(item) = self.global.pop_front() {
+            return Some((item, false));
+        }
+        if depth_first {
+            let n = self.local.len();
+            let start = worker.map_or(0, |w| w + 1);
+            for victim in (0..n).map(|i| (start + i) % n) {
+                if Some(victim) != worker {
+                    if let Some(item) = self.local[victim].pop_front() {
+                        return Some((item, true));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    fn len(&self) -> usize {
+        self.global.len() + self.local.iter().map(VecDeque::len).sum::<usize>()
+    }
+}
+
+/// One op sequence applied to `ReadyQueues` and to [`QueueModel`] on a
+/// single thread: identical pop results (value and stolen flag),
+/// identical lengths throughout. Pins the lock-free structures to the
+/// sequential order the simulator's determinism rests on.
 #[derive(Clone, Debug)]
 enum Op {
     Push { local: Option<usize> },
@@ -283,35 +341,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn lock_free_pop_order_matches_locked_model(
+    fn lock_free_pop_order_matches_sequential_model(
         cores in 1usize..5,
         ops in prop::collection::vec(op_strategy(4), 1..120),
         breadth in 0u8..2,
     ) {
         let policy = if breadth == 1 { SchedPolicy::BreadthFirst } else { SchedPolicy::DepthFirst };
-        let locked = ReadyQueues::with_backend(policy, cores, QueueBackend::Locked);
-        let lockfree = ReadyQueues::with_backend(policy, cores, QueueBackend::LockFree);
+        let mut model = QueueModel::new(policy, cores);
+        let lockfree = ReadyQueues::new_lock_free(policy, cores);
         let mut next = 0u32;
         for op in &ops {
             match *op {
                 Op::Push { local } => {
                     let local = local.filter(|&c| c < cores);
-                    locked.push(next, local);
+                    model.push(next, local);
                     lockfree.push(next, local);
                     next += 1;
                 }
                 Op::Pop { worker } => {
                     let worker = worker.filter(|&c| c < cores);
-                    let a = locked.pop(worker);
+                    let a = model.pop(worker);
                     let b = lockfree.pop(worker);
                     prop_assert_eq!(a, b);
                 }
             }
-            prop_assert_eq!(locked.len(), lockfree.len());
+            prop_assert_eq!(model.len(), lockfree.len());
         }
         // Drain: both must hand back the remaining tasks in the same order.
         loop {
-            let a = locked.pop(Some(0));
+            let a = model.pop(Some(0));
             let b = lockfree.pop(Some(0));
             prop_assert_eq!(a, b);
             if a.is_none() {
