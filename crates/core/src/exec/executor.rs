@@ -194,8 +194,8 @@ impl Pool {
         let ctx = TaskCtx {
             task: node.id,
             // Relaxed: `iter` is stamped before the node is published to a
-            // queue; the queue transfer (mutex, or Release push → Acquire
-            // pop/steal) is the happens-before edge that makes it visible.
+            // queue; the queue transfer (Release push → Acquire pop/steal)
+            // is the happens-before edge that makes it visible.
             iter: node.iter.load(Ordering::Relaxed),
             worker: worker_idx,
         };

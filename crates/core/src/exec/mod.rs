@@ -25,9 +25,10 @@
 //!   kernel's [`crate::rt::PersistentInstance`]: iteration 0 is discovered
 //!   once (concurrently with its execution) while a
 //!   [`crate::graph::TemplateRecorder`] captures every node and edge;
-//!   later iterations re-instance the captured graph by resetting
-//!   dependence counters and re-writing firstprivate data — no allocation,
-//!   no depend processing, no edge creation;
+//!   the first replay instances the captured graph once, and every replay
+//!   re-instances it by resetting dependence counters and re-writing
+//!   firstprivate data — no depend processing, no edge creation, and no
+//!   allocation after that first replay;
 //! * [`run_program`] runs a whole [`crate::program::RankProgram`] — the
 //!   same value the DES back-end in `ptdg-simrt` accepts.
 

@@ -12,21 +12,30 @@ use std::sync::Arc;
 ///
 /// The first call to [`PersistentRegion::run`] discovers the iteration's
 /// graph normally — concurrently with its execution — while capturing every
-/// node and edge (no pruning). Subsequent calls re-instance the captured
-/// graph through the kernel's [`PersistentInstance`]: per node, reset the
-/// dependence counter and rewrite the firstprivate payload. No task
-/// descriptors are allocated, no `depend` clause is processed, no edge is
-/// created. An implicit barrier ends every iteration (tasks of iteration
-/// *n+1* cannot start before all of *n* completed — the behaviour visible
-/// in the paper's Gantt chart, Fig. 8).
+/// node and edge (no pruning) into a [`GraphTemplate`]. The capture stores
+/// only that template. The first replay instances it once into a kernel
+/// [`PersistentInstance`], and every replay re-instances it: per node,
+/// reset the dependence counter and rewrite the firstprivate payload. A
+/// replay processes no `depend` clause and creates no edge, and after the
+/// first one it allocates nothing. Instancing is moved, not saved: a
+/// capture that is replayed pays it on its first replay instead. Only a
+/// capture that is never replayed (followed directly by
+/// [`PersistentRegion::invalidate`] or by the region's drop) skips it.
+/// An implicit barrier ends every iteration (tasks of iteration *n+1*
+/// cannot start before all of *n* completed — the behaviour visible in
+/// the paper's Gantt chart, Fig. 8).
 pub struct PersistentRegion<'e> {
     exec: &'e Executor,
     opts: OptConfig,
+    /// The latest capture; `None` before the first run and after
+    /// [`PersistentRegion::invalidate`].
+    template: Option<Arc<GraphTemplate>>,
+    /// `template` instanced into live nodes, built by its first replay.
     instance: Option<PersistentInstance>,
     /// Recycled publish buffer: reaches the template's root count once
     /// and never regrows, so re-instanced iterations allocate nothing.
     ready_buf: Vec<NodeRef>,
-    first_stats: DiscoveryStats,
+    capture_stats: DiscoveryStats,
     iterations_run: u64,
 }
 
@@ -35,9 +44,10 @@ impl<'e> PersistentRegion<'e> {
         PersistentRegion {
             exec,
             opts,
+            template: None,
             instance: None,
             ready_buf: Vec::new(),
-            first_stats: DiscoveryStats::default(),
+            capture_stats: DiscoveryStats::default(),
             iterations_run: 0,
         }
     }
@@ -51,14 +61,14 @@ impl<'e> PersistentRegion<'e> {
     /// Task bodies observe the current iteration via
     /// [`crate::task::TaskCtx::iter`].
     pub fn run<F: FnOnce(&mut dyn TaskSubmitter)>(&mut self, iter: u64, build: F) {
-        match &self.instance {
+        match &self.template {
             None => {
                 let mut session = self.exec.session_capturing(self.opts);
                 session.set_iter(iter);
                 build(&mut session);
                 let (template, stats) = session.finish_capture();
-                self.first_stats = stats;
-                self.instance = Some(PersistentInstance::new(Arc::new(template), false));
+                self.capture_stats = stats;
+                self.template = Some(Arc::new(template));
             }
             Some(_) => self.run_instanced(iter),
         }
@@ -66,7 +76,8 @@ impl<'e> PersistentRegion<'e> {
     }
 
     /// Drop the captured graph so the next [`PersistentRegion::run`]
-    /// rediscovers and recaptures it.
+    /// rediscovers and recaptures it. Clones of the template taken through
+    /// [`PersistentRegion::template`] stay valid.
     ///
     /// This is the hook for adaptive applications (the paper's §3.2
     /// "Applicability"): when the mesh changes — e.g. an AMR step — the
@@ -74,17 +85,22 @@ impl<'e> PersistentRegion<'e> {
     /// again, amortized over the iterations until the next adaptation.
     pub fn invalidate(&mut self) {
         self.instance = None;
+        self.template = None;
     }
 
     /// Re-instance and execute one iteration from the template.
     fn run_instanced(&mut self, iter: u64) {
         let Self {
             exec,
+            template,
             instance,
             ready_buf,
             ..
         } = self;
-        let pinst = instance.as_ref().unwrap();
+        let pinst = instance.get_or_insert_with(|| {
+            let template = template.as_ref().expect("replay follows a capture");
+            PersistentInstance::new(Arc::clone(template), false)
+        });
         let pool = Arc::clone(exec.pool());
         // The producer's whole per-iteration discovery work: counter reset
         // plus the firstprivate "memcpy" (the iteration payload). The
@@ -101,14 +117,16 @@ impl<'e> PersistentRegion<'e> {
         pool.barrier();
     }
 
-    /// The captured template, if the first iteration has run.
+    /// The captured template, if a capture has run since the last
+    /// [`PersistentRegion::invalidate`].
     pub fn template(&self) -> Option<&Arc<GraphTemplate>> {
-        self.instance.as_ref().map(|i| i.template())
+        self.template.as_ref()
     }
 
-    /// Discovery statistics of the first (capturing) iteration.
+    /// Discovery statistics of the latest capturing iteration: the first
+    /// one, or the first after the latest [`PersistentRegion::invalidate`].
     pub fn first_iteration_stats(&self) -> DiscoveryStats {
-        self.first_stats
+        self.capture_stats
     }
 
     /// Iterations executed so far.
@@ -116,17 +134,17 @@ impl<'e> PersistentRegion<'e> {
         self.iterations_run
     }
 
-    /// Iterations served by re-instancing the captured template (paid no
-    /// discovery). The capturing iterations are `iterations_run - reuses`.
+    /// Iterations served by re-instancing the current template (paid no
+    /// discovery); `0` right after a capture.
     pub fn reuses(&self) -> u64 {
         self.instance.as_ref().map_or(0, |i| i.reuses())
     }
 
     /// Ids of all captured tasks (for inspection).
     pub fn task_ids(&self) -> Vec<TaskId> {
-        self.instance
+        self.template
             .as_ref()
-            .map(|i| i.template().ids().collect())
+            .map(|t| t.ids().collect())
             .unwrap_or_default()
     }
 }

@@ -15,7 +15,7 @@ use std::time::Instant;
 ///
 /// Obtained from [`Executor::session`] (overlapped),
 /// [`Executor::session_non_overlapped`] (paper Table 1 configuration), or
-/// internally by a persistent region's first iteration. Discovery writes
+/// internally by a persistent region's capturing iterations. Discovery writes
 /// into a kernel [`GraphInstance`]; this type only routes the tasks the
 /// instance reports ready and decides when the producer helps execute.
 ///

@@ -493,6 +493,136 @@ fn persistent_region_invalidate_recaptures() {
     assert_eq!(region.iterations_run(), 6);
 }
 
+/// One writer of `x` then eight readers, each reader checking that it
+/// sees its own iteration's write; `bad` counts violations (a body never
+/// panics here: it would not fail the test, only wedge the pool).
+fn writer_then_readers(
+    x: crate::handle::DataHandle,
+    val: &Arc<AtomicU64>,
+    bad: &Arc<AtomicUsize>,
+) -> impl FnOnce(&mut dyn crate::builder::TaskSubmitter) {
+    let (val, bad) = (val.clone(), bad.clone());
+    move |sub| {
+        let v = val.clone();
+        sub.submit(
+            TaskSpec::new("w")
+                .depend(x, AccessMode::Out)
+                .body(move |ctx| v.store(ctx.iter * 100, Ordering::SeqCst)),
+        );
+        for _ in 0..8 {
+            let (v, bad) = (val.clone(), bad.clone());
+            sub.submit(
+                TaskSpec::new("r")
+                    .depend(x, AccessMode::In)
+                    .body(move |ctx| {
+                        if v.load(Ordering::SeqCst) != ctx.iter * 100 {
+                            bad.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }),
+            );
+        }
+    }
+}
+
+#[test]
+fn persistent_region_instances_on_first_replay() {
+    let mut space = HandleSpace::new();
+    let x = space.region("x", 8);
+    let e = exec(2);
+    let (val, bad) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicUsize::new(0)));
+    let mut region = e.persistent_region(OptConfig::all());
+    region.run(0, writer_then_readers(x, &val, &bad));
+    assert_eq!(
+        Arc::strong_count(region.template().unwrap()),
+        1,
+        "a capture stores only the template"
+    );
+    assert_eq!(region.reuses(), 0);
+    assert_eq!(region.task_ids().len(), 9);
+    region.run(1, writer_then_readers(x, &val, &bad));
+    assert_eq!(
+        Arc::strong_count(region.template().unwrap()),
+        2,
+        "the first replay instances it"
+    );
+    assert_eq!(region.reuses(), 1);
+    region.run(2, writer_then_readers(x, &val, &bad));
+    assert_eq!(Arc::strong_count(region.template().unwrap()), 2);
+    assert_eq!(region.reuses(), 2);
+    assert_eq!(bad.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn repeated_captures_never_instance() {
+    let mut space = HandleSpace::new();
+    let x = space.region("x", 8);
+    let e = exec(2);
+    let (val, bad) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicUsize::new(0)));
+    let mut region = e.persistent_region(OptConfig::all());
+    for iter in 0..5u64 {
+        region.invalidate();
+        region.run(iter, writer_then_readers(x, &val, &bad));
+        assert_eq!(region.reuses(), 0, "iteration {iter} was a capture");
+        assert_eq!(Arc::strong_count(region.template().unwrap()), 1);
+        assert_eq!(region.first_iteration_stats().tasks, 9);
+    }
+    assert_eq!(region.iterations_run(), 5);
+    assert_eq!(bad.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn template_clone_outlives_invalidate() {
+    let mut space = HandleSpace::new();
+    let x = space.region("x", 8);
+    let e = exec(2);
+    let (val, bad) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicUsize::new(0)));
+    let mut region = e.persistent_region(OptConfig::all());
+    region.run(0, writer_then_readers(x, &val, &bad));
+    let kept = Arc::clone(region.template().unwrap());
+    region.run(1, writer_then_readers(x, &val, &bad));
+    assert_eq!(Arc::strong_count(&kept), 3, "region, instance and clone");
+    region.invalidate();
+    assert!(region.template().is_none());
+    assert!(region.task_ids().is_empty());
+    assert_eq!(region.reuses(), 0);
+    assert_eq!(Arc::strong_count(&kept), 1);
+    assert_eq!(kept.n_tasks(), 9);
+    assert_eq!(kept.n_edges(), 8);
+    assert_eq!(kept.successors(crate::task::TaskId(0)).count(), 8);
+    assert!(kept.is_acyclic());
+}
+
+#[test]
+fn recapture_then_replay_respects_dependencies_and_iter() {
+    let mut space = HandleSpace::new();
+    let (x, y) = (space.region("x", 8), space.region("y", 8));
+    let e = exec(2);
+    let (val, bad) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicUsize::new(0)));
+    let mut region = e.persistent_region(OptConfig::all());
+    region.run(0, writer_then_readers(x, &val, &bad));
+    region.invalidate();
+    // The recapture has a different shape: a second chain on `y`.
+    let val_y = Arc::new(AtomicU64::new(0));
+    for iter in 1..6u64 {
+        let on_x = writer_then_readers(x, &val, &bad);
+        let on_y = writer_then_readers(y, &val_y, &bad);
+        region.run(iter, |sub| {
+            on_x(sub);
+            on_y(sub);
+        });
+    }
+    assert_eq!(region.iterations_run(), 6);
+    assert_eq!(region.reuses(), 4);
+    assert_eq!(region.template().unwrap().n_tasks(), 18);
+    assert_eq!(
+        val.load(Ordering::SeqCst),
+        500,
+        "the last replay ran iteration 5"
+    );
+    assert_eq!(val_y.load(Ordering::SeqCst), 500);
+    assert_eq!(bad.load(Ordering::SeqCst), 0);
+}
+
 #[test]
 fn capture_iteration_stamps_requested_iter() {
     let mut space = HandleSpace::new();

@@ -39,7 +39,10 @@ pub struct PersistentInstance {
 
 impl PersistentInstance {
     /// Instance every template node and wire the persistent successor
-    /// lists. This is the only allocation the persistent path ever does.
+    /// lists. This is the only allocation the persistent path ever does,
+    /// and it is paid by the first replay: the thread executor's
+    /// [`crate::exec::PersistentRegion`] builds the instance when it first
+    /// re-instances a capture, never on the capturing iteration itself.
     pub fn new(template: Arc<GraphTemplate>, keep_work: bool) -> Self {
         let mut arena = NodeArena::new();
         arena.reserve(template.n_nodes());

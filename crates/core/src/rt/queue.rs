@@ -50,7 +50,7 @@ pub enum SchedPolicy {
 }
 
 /// Per-core local deques plus a global queue, policy-driven. The thread
-/// executor stores `Arc<RtNode>`; the simulator stores node indices —
+/// executor stores pooled [`super::NodeRef`]s; the simulator stores node indices —
 /// the *placement and steal order* is the shared policy, the element type
 /// is not.
 ///
