@@ -412,6 +412,15 @@ impl CommWorld {
         }
     }
 
+    /// Whether `rank` has an envelope to match or a completion to drain:
+    /// false means a progress sweep on that rank would find nothing right
+    /// now. Lock-free (two queue-emptiness loads), so idle paths can ask
+    /// before paying for a sweep.
+    pub fn has_deliveries(&self, rank: u32) -> bool {
+        let ep = &self.endpoints[rank as usize];
+        !ep.inbox.is_empty() || !ep.completions.is_empty()
+    }
+
     /// Pop one queued completion for this rank's detached nodes.
     pub fn pop_completion(&self, rank: u32) -> Option<CommCompletion> {
         self.endpoints[rank as usize].completions.pop()

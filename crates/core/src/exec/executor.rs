@@ -20,6 +20,26 @@ use std::time::Instant;
 
 pub use crate::rt::SchedPolicy;
 
+/// Polls an idle thread makes before it takes a park ticket (see
+/// [`Pool::spin_for_work`]). On the fine-grain streaming LULESH a lone
+/// worker runs out of work about every third task and the producer
+/// pushes the next one within microseconds, so parking there costs a
+/// futex wake per push (a VM exit under virtualisation). 2000 polls
+/// (75–90 µs with the yields on a 2-vCPU Sapphire Rapids KVM guest)
+/// cover those gaps: parks fell from ~240–315 to ~0.2 per 1000 tasks.
+/// In a sweep, 1000–8000 polls gave the same makespan within noise and
+/// 250 still left ~5 parks per 1000 tasks. A constant, not a setting:
+/// the spin is advisory, so its size only trades CPU burn against wake
+/// latency, never correctness, and one measured value serves every
+/// caller.
+const SPIN_POLLS: u32 = 2000;
+
+/// Yield the CPU instead of pausing every this many spin polls. When
+/// threads outnumber vCPUs (the default `ExecConfig` runs `nproc`
+/// workers beside the producer) a pure spin holds the core the producer
+/// needs to push the very task being waited for.
+const SPIN_YIELD_EVERY: u32 = 64;
+
 /// Executor configuration.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
@@ -65,11 +85,16 @@ pub(crate) struct Pool {
     pub throttle: ThrottleGate,
     pub shutdown: AtomicBool,
     /// Eventcount all idle threads (workers and the waiting producer)
-    /// block on instead of sleep-polling. Wake discipline: `notify_one`
-    /// per task pushed, `notify_all` on one-to-many events — gate
-    /// release, reaching quiescence, shutdown, and (via the registered
-    /// waker) comm deliveries from peer ranks. `Arc` so the comm world
-    /// can hold it past this pool's lifetime.
+    /// block on instead of sleep-polling. An idle thread first spins
+    /// ([`Pool::spin_for_work`]), then takes a ticket, re-checks every
+    /// wake condition and parks. The spin is outside the protocol (it
+    /// only decides whether to enter it), yields the CPU now and then so
+    /// an oversubscribed pool still lets the pusher run, and has a fixed
+    /// budget because it trades only CPU burn for wake latency. Wake
+    /// discipline: `notify_one` per task pushed, `notify_all` on
+    /// one-to-many events — gate release, reaching quiescence, shutdown,
+    /// and (via the registered waker) comm deliveries from peer ranks.
+    /// `Arc` so the comm world can hold it past this pool's lifetime.
     pub parker: Arc<Parker>,
     /// Park/unpark telemetry (Relaxed: stats only).
     pub parks: AtomicU64,
@@ -248,6 +273,14 @@ impl Pool {
     /// done. Returns whether anything moved. `local` is the deque for
     /// successors the completions release (`None` = producer).
     pub fn progress_comm(&self, local: Option<usize>) -> bool {
+        // Nothing delivered: the sweep below would find nothing either,
+        // and holds nothing the bracket would have to cover, so skip its
+        // two SeqCst RMWs. A delivery racing past this check is no
+        // different from one landing just after a full sweep — it wakes
+        // the rank through the registered waker.
+        if !self.comm.world.has_deliveries(self.comm.rank) {
+            return false;
+        }
         // The in-flight bracket spans pop-to-completion: a completion in
         // hand is invisible to the deadlock sweep's queue-emptiness
         // check, so the busy token has to cover it.
@@ -279,6 +312,33 @@ impl Pool {
         }
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
         any
+    }
+
+    /// Bounded busy-wait an idle thread runs before the park protocol:
+    /// polls until a task is queued or a comm delivery waits (returns
+    /// true), or until `exit` holds or [`SPIN_POLLS`] polls pass (returns
+    /// false). Advisory only: a false return leads to the full
+    /// `prepare` → re-check → `park` sequence, which alone carries the
+    /// lost-wakeup argument, and a true return to a fresh pop attempt.
+    /// Each poll is a few loads — the queues' cached count never
+    /// under-reports a queued task, so a zero is safe to keep spinning
+    /// on — and nothing is written, so a spinner does not bounce the
+    /// cache lines the producer pushes through. Allocation-free.
+    fn spin_for_work(&self, exit: impl Fn() -> bool) -> bool {
+        for poll in 1..=SPIN_POLLS {
+            if !self.queues.is_empty() || self.comm.world.has_deliveries(self.comm.rank) {
+                return true;
+            }
+            if exit() {
+                return false;
+            }
+            if poll % SPIN_YIELD_EVERY == 0 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+        false
     }
 
     /// Report this rank fully idle to the deadlock detector. Only
@@ -321,6 +381,9 @@ impl Pool {
             if self.tracker.quiescent() {
                 break;
             }
+            if self.spin_for_work(|| self.tracker.quiescent()) {
+                continue;
+            }
             // Two-phase park (see `worker_loop`): re-check quiescence
             // and the queues after taking the ticket, so neither the
             // completion nor a push racing with us can be missed — the
@@ -356,6 +419,12 @@ fn worker_loop(pool: Arc<Pool>, idx: usize) {
             continue;
         }
         if pool.progress_comm(Some(idx)) {
+            continue;
+        }
+        // Spin first. Seeing `shutdown` ends the spin but is not work:
+        // fall through to the exit check below rather than `continue`,
+        // or a drained pool would spin on shutdown forever.
+        if pool.spin_for_work(|| pool.shutdown.load(Ordering::Relaxed)) {
             continue;
         }
         // Two-phase park: take a ticket, re-check every wake condition,

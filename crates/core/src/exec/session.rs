@@ -83,7 +83,10 @@ impl<'e> Session<'e> {
     /// path; may execute tasks inline if throttling thresholds are
     /// exceeded.
     pub fn submit_view(&mut self, view: &SpecView<'_>) -> TaskId {
-        let pool = Arc::clone(self.exec.pool());
+        // A borrow through `&'e Executor`, not an `Arc` clone: it lives
+        // for `'e` beside the `&mut self` field borrows below and costs
+        // no atomic RMW per task.
+        let pool = self.exec.pool();
         let now = pool.now_ns();
         self.discovery_t0_ns.get_or_insert(now);
         self.instance.set_now_ns(now);
@@ -136,7 +139,7 @@ impl<'e> Session<'e> {
     /// submission point (used by codes that fence their communication
     /// sequences, §4.1 of the paper).
     pub fn taskwait(&mut self) {
-        let pool = Arc::clone(self.exec.pool());
+        let pool = self.exec.pool();
         pool.release_gate();
         pool.barrier();
     }
@@ -157,7 +160,7 @@ impl<'e> Session<'e> {
     /// Release any held tasks and run until every submitted task has
     /// completed (the producer helps execute).
     pub fn wait_all(&mut self) {
-        let pool = Arc::clone(self.exec.pool());
+        let pool = self.exec.pool();
         pool.release_gate();
         // Relaxed: producer-written, read by `take_obs` after this call.
         pool.last_discovery_ns

@@ -4,10 +4,12 @@
 //! The old idle loops slept 20µs between queue polls, paying both idle
 //! CPU burn and up-to-20µs wakeup latency every time a dependency chain
 //! serialised the run. The eventcount turns the poll into a blocking
-//! wait with a race-free re-check:
+//! wait with a race-free re-check. An idle thread of the executor goes
+//! through four steps:
 //!
 //! ```text
-//! waiter:  ticket = prepare();          // SeqCst load of epoch
+//! waiter:  spin until work_available or budget spent  // advisory only
+//!          ticket = prepare();          // SeqCst load of epoch
 //!          if work_available { return } // re-check AFTER prepare
 //!          park(ticket);                // sleeps unless epoch moved
 //! waker:   publish work (Release push); notify(); // SeqCst epoch bump
@@ -22,6 +24,19 @@
 //! `notify` — SeqCst on both sides gives the needed reads-from edge —
 //! and the waiter never parks. Either way a push cannot vanish while a
 //! worker sleeps.
+//!
+//! The spin (`Pool::spin_for_work` in `exec/executor.rs`) sits before
+//! the ticket, outside this protocol. It only decides whether to try a
+//! pop again or to enter the protocol at all, so whatever it reads —
+//! even a stale `Relaxed` count — cannot make a wakeup go missing: the
+//! argument above starts at `prepare` and holds as written. It exists
+//! because parking is dear where work comes back within microseconds:
+//! each park makes the next `notify` take the mutex and issue a futex
+//! wake (a VM exit under virtualisation). It yields the CPU every few
+//! dozen polls, because when threads outnumber cores the spinner may be
+//! holding the core the waker needs. Its budget is a constant rather
+//! than a setting: it trades CPU burn against wake latency and nothing
+//! else, and one measured value serves every caller.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};

@@ -1,5 +1,6 @@
 //! Stress tests for the lock-free scheduler fast path: shutdown/drain
-//! races, parking wakeups, the lock-free completion check against a
+//! races, prompt shutdown, parking wakeups (also across the idle spin's
+//! hand-over to the parker), the lock-free completion check against a
 //! racing completion, and a property pinning the lock-free pop order to
 //! a sequential `VecDeque` model of the scheduling policy.
 //!
@@ -17,7 +18,8 @@ use ptdg::core::AccessMode;
 use ptdg::core::ThrottleConfig;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 const STRESS_ROUNDS: usize = 20;
 
@@ -192,6 +194,132 @@ fn parked_workers_wake_for_late_submissions() {
         }
         s.wait_all();
         assert_eq!(ran.load(Ordering::Relaxed), 64, "burst {burst}");
+    }
+}
+
+/// Run `f` on a helper thread and fail, rather than hang the suite, if
+/// it has not returned within `limit`.
+fn returns_within(limit: Duration, what: &str, f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    assert!(
+        rx.recv_timeout(limit).is_ok(),
+        "{what} did not return within {limit:?}"
+    );
+}
+
+/// Dropping an executor must end its workers promptly, whether they are
+/// still spinning for work or already parked: a worker that sees
+/// `shutdown` while it spins has to reach the drained-pool exit, not
+/// keep polling. Covers a pool dropped the moment it starts and one
+/// dropped right after a `wait_all`, with 1 and 4 workers.
+#[test]
+fn executor_drop_returns_promptly() {
+    const LIMIT: Duration = Duration::from_secs(10);
+    for round in 0..rounds() {
+        for workers in [1, 4] {
+            returns_within(
+                LIMIT,
+                &format!("round {round}: drop of a fresh {workers}-worker executor"),
+                move || drop(Executor::new(cfg(workers))),
+            );
+            returns_within(
+                LIMIT,
+                &format!("round {round}: drop of a {workers}-worker executor after wait_all"),
+                move || {
+                    let e = Executor::new(cfg(workers));
+                    let mut space = HandleSpace::new();
+                    let h = space.region("h", 64);
+                    let ran = Arc::new(AtomicUsize::new(0));
+                    let mut s = e.session(OptConfig::all());
+                    for _ in 0..16 {
+                        let ran = Arc::clone(&ran);
+                        s.submit(
+                            TaskSpec::new("t")
+                                .depend(h, AccessMode::InOut)
+                                .body(move |_| {
+                                    ran.fetch_add(1, Ordering::Relaxed);
+                                }),
+                        );
+                    }
+                    s.wait_all();
+                    drop(s);
+                    drop(e);
+                    assert_eq!(ran.load(Ordering::Relaxed), 16);
+                },
+            );
+        }
+    }
+}
+
+/// Idle workers spin for a bounded while before they park. Chains
+/// submitted after gaps shorter than that spin, around it, and far
+/// beyond it must each be picked up at once: a push racing a worker's
+/// move from spinning to parking may not be lost. A lost wakeup would
+/// leave the chain until the parker's 100 ms timeout; the assert sits
+/// well below it. The producer waits without helping, so only a worker
+/// can run the chain. The spin lasts 75–90 µs on a 2-vCPU KVM guest;
+/// gaps are seeded, so a failing run replays.
+#[test]
+fn no_lost_wakeup_across_spin_park_boundary() {
+    const CHAIN: usize = 3;
+    /// Gap classes, in µs: (shortest, span) of a seeded uniform draw.
+    const GAPS_US: [(u64, u64); 3] = [(0, 40), (40, 200), (400, 2000)];
+    const LATENCY_LIMIT: Duration = Duration::from_millis(50);
+    let chains = rounds() * GAPS_US.len();
+    for workers in [1, 4] {
+        let e = Executor::new(cfg(workers));
+        let mut space = HandleSpace::new();
+        let h = space.region("chain", 64);
+        let runs: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..chains * CHAIN).map(|_| AtomicUsize::new(0)).collect());
+        let done = Arc::new(AtomicUsize::new(0));
+        let mut s = e.session(OptConfig::all());
+        let mut rng = workers as u64;
+        for c in 0..chains {
+            let (lo, span) = GAPS_US[c % GAPS_US.len()];
+            let gap = Duration::from_micros(lo + splitmix(&mut rng) % span);
+            let t = Instant::now();
+            while t.elapsed() < gap {
+                std::hint::spin_loop();
+            }
+            let t0 = Instant::now();
+            for k in 0..CHAIN {
+                let (runs, done) = (Arc::clone(&runs), Arc::clone(&done));
+                let i = c * CHAIN + k;
+                s.submit(
+                    TaskSpec::new("link")
+                        .depend(h, AccessMode::InOut)
+                        .body(move |_| {
+                            runs[i].fetch_add(1, Ordering::Relaxed);
+                            done.fetch_add(1, Ordering::Release);
+                        }),
+                );
+            }
+            while done.load(Ordering::Acquire) < (c + 1) * CHAIN {
+                assert!(
+                    t0.elapsed() < 10 * LATENCY_LIMIT,
+                    "{workers} workers, chain {c} (gap {gap:?}) never ran"
+                );
+                std::thread::yield_now();
+            }
+            let latency = t0.elapsed();
+            assert!(
+                latency < LATENCY_LIMIT,
+                "{workers} workers, chain {c} (gap {gap:?}) took {latency:?}: lost wakeup"
+            );
+        }
+        s.wait_all();
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(
+                r.load(Ordering::Relaxed),
+                1,
+                "{workers} workers: task {i} must run exactly once"
+            );
+        }
     }
 }
 
