@@ -6,7 +6,9 @@
 //! ```
 
 use ptdg_cholesky::{CholeskyConfig, CholeskyTask};
-use ptdg_core::exec::{run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig};
+use ptdg_core::exec::{
+    default_workers, run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig,
+};
 use ptdg_core::obs::{chrome_trace, critical_path};
 use ptdg_core::opts::OptConfig;
 use ptdg_core::ThrottleConfig;
@@ -18,9 +20,7 @@ fn main() {
     let mut b = 16usize;
     let mut repeats = 3u64;
     let mut seed = 42u64;
-    let mut workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let mut workers = default_workers();
     let mut ranks = 1u32;
     let mut trace: Option<PathBuf> = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();

@@ -35,16 +35,27 @@ pub use crate::rt::SchedPolicy;
 const SPIN_POLLS: u32 = 2000;
 
 /// Yield the CPU instead of pausing every this many spin polls. When
-/// threads outnumber vCPUs (the default `ExecConfig` runs `nproc`
-/// workers beside the producer) a pure spin holds the core the producer
-/// needs to push the very task being waited for.
+/// threads outnumber vCPUs (more workers than [`default_workers`]) a
+/// pure spin holds the core the producer needs to push the very task
+/// being waited for.
 const SPIN_YIELD_EVERY: u32 = 64;
+
+/// Worker threads that, with the producer thread beside them, fill the
+/// machine exactly: `nproc − 1`, at least 1. The default of
+/// [`ExecConfig::n_workers`] and of the app CLIs' worker counts.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .saturating_sub(1)
+        .max(1)
+}
 
 /// Executor configuration.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
-    /// Worker threads (the producer thread is additional and only helps
-    /// during throttling and `wait_all`).
+    /// Worker threads. The producer thread is additional and busy:
+    /// discovery runs on it concurrently with the workers, and it also
+    /// executes tasks during throttling and `wait_all`.
     pub n_workers: usize,
     /// Scheduling policy.
     pub policy: SchedPolicy,
@@ -60,9 +71,7 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            n_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            n_workers: default_workers(),
             policy: SchedPolicy::DepthFirst,
             throttle: ThrottleConfig::default(),
             profile: false,

@@ -39,7 +39,7 @@ mod session;
 #[cfg(test)]
 mod tests;
 
-pub use executor::{ExecConfig, Executor, SchedPolicy};
+pub use executor::{default_workers, ExecConfig, Executor, SchedPolicy};
 pub use persistent::PersistentRegion;
 pub use run::{run_program, ThreadsConfig, ThreadsReport};
 pub use session::Session;

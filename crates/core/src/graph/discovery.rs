@@ -22,125 +22,57 @@ struct HandleState {
     /// The task(s) whose write this region last saw: a single writer for
     /// `out`/`inout`, or every member of the current `inoutset` group.
     last_writers: InlineVec<TaskId, WRITERS_INLINE>,
-    /// Whether `last_writers` is an `inoutset` group.
+    /// Whether `last_writers` is an `inoutset` group. The group accepts
+    /// members while no reader has followed it (`readers` is empty).
     writers_are_set: bool,
-    /// Whether the group can still accept members (no other-mode access has
-    /// been seen on this region since the group opened).
-    group_open: bool,
     /// Redirect node materialized for this group by optimization (c).
     redirect: Option<TaskId>,
-    /// Predecessors each *new member* of the open group must depend on,
-    /// less those already in `group_pruned`.
+    /// Predecessors each member of the `inoutset` group depends on: those
+    /// of its opener.
     group_base: InlineVec<TaskId, WRITERS_INLINE>,
-    /// Base predecessors a member's edge was already pruned against. The
-    /// sink's completion is monotone, so every later member's edge would
-    /// be pruned too: joins skip the sink for them (DESIGN.md §4.4).
-    group_pruned: InlineVec<TaskId, WRITERS_INLINE>,
     /// Readers since the last write.
     readers: InlineVec<TaskId, READERS_INLINE>,
 }
 
-/// Sequential task-dependency-graph discovery.
-///
-/// One engine instance embodies one producer thread's discovery of one
-/// graph (or one iteration of a persistent region). It owns the per-handle
-/// dependence state and the duplicate-edge probe table, and emits nodes and
-/// edges into a [`GraphSink`].
+impl HandleState {
+    /// Make `id` the region's last write: a plain writer, or the opener
+    /// of an `inoutset` group (`set`).
+    fn open_write(&mut self, id: TaskId, set: bool) {
+        self.last_writers.clear();
+        self.last_writers.push(id);
+        self.writers_are_set = set;
+        self.redirect = None;
+        self.readers.clear();
+    }
+}
+
+/// The producer-private edge bookkeeping: everything an edge request
+/// touches besides the sink. It is kept apart from the per-handle state
+/// so a handle's predecessor lists are walked in place while edges are
+/// wired, never copied into a scratch buffer.
 #[derive(Debug)]
-pub struct DiscoveryEngine {
+struct Wiring {
     opts: OptConfig,
-    handles: Vec<HandleState>,
     /// `last_succ[pred]` = most recent successor attached to `pred`; the
     /// O(1) duplicate probe of optimization (b). Valid because submission
     /// is sequential: duplicate edges from one task's depend list are
     /// attached consecutively.
     last_succ: Vec<u32>,
+    /// Completion memo, one bit per node: set once the sink pruned an
+    /// edge from that node. Pruning is monotone per predecessor (see
+    /// [`GraphSink::add_edge`]), so every later edge from a marked node
+    /// is counted as pruned without asking the sink (DESIGN.md §4.4).
+    finished: Vec<u64>,
     stats: DiscoveryStats,
-    scratch_preds: Vec<TaskId>,
-    /// Scratch for redirect materialization: the group members being
-    /// funneled into the redirect node (recycled — never cloned from the
-    /// handle state).
-    scratch_members: Vec<TaskId>,
-    /// Join groups through the pre-memo loop (the reference the
-    /// completed-base memo is checked against).
-    #[cfg(test)]
-    reference_join: bool,
 }
 
-impl DiscoveryEngine {
-    /// New engine with the given optimization switches.
-    pub fn new(opts: OptConfig) -> Self {
-        DiscoveryEngine {
-            opts,
-            handles: Vec::new(),
-            last_succ: Vec::new(),
-            stats: DiscoveryStats::default(),
-            scratch_preds: Vec::new(),
-            scratch_members: Vec::new(),
-            #[cfg(test)]
-            reference_join: false,
-        }
-    }
-
-    /// The optimization configuration in use.
-    pub fn opts(&self) -> OptConfig {
-        self.opts
-    }
-
-    /// Pre-size the engine's tables so discovering up to `nodes` more
-    /// nodes over up to `handles` registered regions allocates nothing
-    /// (the inline per-handle lists may still spill on first use; see
-    /// DESIGN.md §4.4 for the warm-up protocol).
-    pub fn reserve(&mut self, nodes: usize, handles: usize) {
-        self.last_succ.reserve(nodes);
-        if handles > self.handles.len() {
-            self.handles.resize_with(handles, HandleState::default);
-        }
-        self.scratch_preds.reserve(16);
-        self.scratch_members.reserve(16);
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> DiscoveryStats {
-        self.stats
-    }
-
-    /// Reset the per-handle dependence state (e.g. at an iteration barrier)
-    /// while keeping cumulative statistics.
-    ///
-    /// The persistent-region implementation calls this between iterations:
-    /// the implicit barrier guarantees every task completed, so carrying
-    /// dependence state across the barrier would only create the
-    /// inter-iteration edges that the paper notes are removed (§3.3).
-    pub fn reset_handle_state(&mut self) {
-        for h in &mut self.handles {
-            h.last_writers.clear();
-            h.writers_are_set = false;
-            h.group_open = false;
-            h.redirect = None;
-            h.group_base.clear();
-            h.group_pruned.clear();
-            h.readers.clear();
-        }
-        // The duplicate-edge probe table must reset too: if the sink's ids
-        // restart (a fresh graph instance after the barrier), a stale
-        // `last_succ[pred] == succ` entry from the previous graph would
-        // wrongly suppress the first real `pred -> succ` edge of the new
-        // one.
-        self.last_succ.fill(NO_SUCC);
-    }
-
-    fn handle_mut(&mut self, idx: usize) -> &mut HandleState {
-        if idx >= self.handles.len() {
-            self.handles.resize_with(idx + 1, HandleState::default);
-        }
-        &mut self.handles[idx]
-    }
-
+impl Wiring {
+    /// Size the per-node tables for node `id`.
     fn note_node(&mut self, id: TaskId) {
         let idx = id.index();
         if idx >= self.last_succ.len() {
             self.last_succ.resize(idx + 1, NO_SUCC);
+            self.finished.resize((idx + 1).div_ceil(64), 0);
         }
     }
 
@@ -164,100 +96,121 @@ impl DiscoveryEngine {
         true
     }
 
-    /// Add edge `pred -> succ` after the [`DiscoveryEngine::probe`].
-    /// Returns whether the sink pruned it.
-    fn edge(&mut self, sink: &mut dyn GraphSink, pred: TaskId, succ: TaskId) -> bool {
+    /// Request edge `pred -> succ` after the [`Wiring::probe`]. A
+    /// predecessor the memo knows finished is counted as pruned without
+    /// a sink call, so every counter reads as if each edge had been
+    /// requested.
+    fn edge(&mut self, sink: &mut dyn GraphSink, pred: TaskId, succ: TaskId) {
         if !self.probe(pred, succ) {
-            return false;
+            return;
         }
-        if sink.add_edge(pred, succ) {
+        let (word, bit) = (pred.index() / 64, 1u64 << (pred.index() % 64));
+        if self.finished[word] & bit != 0 {
+            self.stats.edges_pruned += 1;
+        } else if sink.add_edge(pred, succ) {
             self.stats.edges_created += 1;
-            false
         } else {
             self.stats.edges_pruned += 1;
-            true
+            self.finished[word] |= bit;
         }
     }
 
-    /// Join task `id` to the open `inoutset` group of handle `hidx`: an
-    /// edge from every base predecessor, none against fellow members.
-    ///
-    /// Base predecessors an earlier member was pruned against are known
-    /// complete, so their edges are counted as pruned without asking the
-    /// sink — still after the duplicate probe, so every counter reads as
-    /// if each edge had been requested. The rest are requested, and those
-    /// the sink prunes join the memo.
-    fn join_group(&mut self, sink: &mut dyn GraphSink, hidx: usize, id: TaskId) {
-        #[cfg(test)]
-        if self.reference_join {
-            self.join_group_reference(sink, hidx, id);
-            return;
+    /// The predecessors standing for the last write of `st`: its writers,
+    /// or the optimization-(c) redirect node funnelling an `inoutset`
+    /// group, materialized on first use.
+    fn last_write<'s>(
+        &mut self,
+        sink: &mut dyn GraphSink,
+        st: &'s mut HandleState,
+    ) -> &'s [TaskId] {
+        if !(st.writers_are_set && st.last_writers.len() >= 2 && self.opts.inoutset_redirect) {
+            return &st.last_writers;
         }
-        let mut pruned = std::mem::take(&mut self.handles[hidx].group_pruned);
-        for &p in &pruned {
-            if self.probe(p, id) {
-                self.stats.edges_pruned += 1;
-            }
-        }
-        let mut base = std::mem::take(&mut self.handles[hidx].group_base);
-        base.retain(|&p| {
-            let was_pruned = self.edge(sink, p, id);
-            if was_pruned {
-                pruned.push(p);
-            }
-            !was_pruned
-        });
-        let st = &mut self.handles[hidx];
-        st.group_base = base;
-        st.group_pruned = pruned;
-        st.last_writers.push(id);
-    }
-
-    /// The pre-memo join: every member requests every base edge.
-    #[cfg(test)]
-    fn join_group_reference(&mut self, sink: &mut dyn GraphSink, hidx: usize, id: TaskId) {
-        let base = std::mem::take(&mut self.handles[hidx].group_base);
-        for p in &base {
-            self.edge(sink, *p, id);
-        }
-        self.handles[hidx].group_base = base;
-        self.handles[hidx].last_writers.push(id);
-    }
-
-    /// Resolve the predecessors representing "the last write" of handle
-    /// `hidx`, materializing the optimization-(c) redirect node when
-    /// profitable. The result is left in `self.scratch_preds`.
-    fn writer_preds(&mut self, sink: &mut dyn GraphSink, hidx: usize) {
-        self.scratch_preds.clear();
-        let st = &self.handles[hidx];
-        if st.last_writers.is_empty() {
-            return;
-        }
-        if st.writers_are_set && st.last_writers.len() >= 2 && self.opts.inoutset_redirect {
-            if let Some(r) = st.redirect {
-                self.scratch_preds.push(r);
-                return;
-            }
-            // Materialize R: members -> R, successors will attach to R.
-            // The member list is staged through a recycled scratch buffer
-            // (a borrow-splitting move, not a clone: `edge` needs `&mut
-            // self` while the members live in `self.handles`).
-            let mut members = std::mem::take(&mut self.scratch_members);
-            members.clear();
-            members.extend_from_slice(&st.last_writers);
+        if st.redirect.is_none() {
+            // Materialize R: members -> R; successors attach to R.
             let r = sink.add_redirect();
             self.stats.redirect_nodes += 1;
             self.note_node(r);
-            for &m in &members {
+            for &m in &st.last_writers {
                 self.edge(sink, m, r);
             }
-            self.scratch_members = members;
             sink.seal(r);
-            self.handles[hidx].redirect = Some(r);
-            self.scratch_preds.push(r);
-        } else {
-            self.scratch_preds.extend_from_slice(&st.last_writers);
+            st.redirect = Some(r);
         }
+        st.redirect.as_slice()
+    }
+}
+
+/// Sequential task-dependency-graph discovery.
+///
+/// One engine instance embodies one producer thread's discovery of one
+/// graph (or one iteration of a persistent region). It owns the per-handle
+/// dependence state, the duplicate-edge probe table and the completion
+/// memo, and emits nodes and edges into a [`GraphSink`].
+#[derive(Debug)]
+pub struct DiscoveryEngine {
+    handles: Vec<HandleState>,
+    wire: Wiring,
+}
+
+impl DiscoveryEngine {
+    /// New engine with the given optimization switches.
+    pub fn new(opts: OptConfig) -> Self {
+        DiscoveryEngine {
+            handles: Vec::new(),
+            wire: Wiring {
+                opts,
+                last_succ: Vec::new(),
+                finished: Vec::new(),
+                stats: DiscoveryStats::default(),
+            },
+        }
+    }
+
+    /// The optimization configuration in use.
+    pub fn opts(&self) -> OptConfig {
+        self.wire.opts
+    }
+
+    /// Pre-size the engine's tables so discovering up to `nodes` more
+    /// nodes over up to `handles` registered regions allocates nothing
+    /// (the inline per-handle lists may still spill on first use; see
+    /// DESIGN.md §4.4 for the warm-up protocol).
+    pub fn reserve(&mut self, nodes: usize, handles: usize) {
+        self.wire.last_succ.reserve(nodes);
+        self.wire.finished.reserve(nodes.div_ceil(64));
+        if handles > self.handles.len() {
+            self.handles.resize_with(handles, HandleState::default);
+        }
+    }
+
+    /// Counters so far.
+    pub fn stats(&self) -> DiscoveryStats {
+        self.wire.stats
+    }
+
+    /// Reset the per-handle dependence state (e.g. at an iteration barrier)
+    /// while keeping cumulative statistics.
+    ///
+    /// The persistent-region implementation calls this between iterations:
+    /// the implicit barrier guarantees every task completed, so carrying
+    /// dependence state across the barrier would only create the
+    /// inter-iteration edges that the paper notes are removed (§3.3).
+    pub fn reset_handle_state(&mut self) {
+        for h in &mut self.handles {
+            h.last_writers.clear();
+            h.writers_are_set = false;
+            h.redirect = None;
+            h.group_base.clear();
+            h.readers.clear();
+        }
+        // The per-node tables must reset too: if the sink's ids restart (a
+        // fresh graph instance after the barrier), a stale
+        // `last_succ[pred] == succ` entry or completion bit from the
+        // previous graph would wrongly suppress or prune a real edge of
+        // the new one.
+        self.wire.last_succ.fill(NO_SUCC);
+        self.wire.finished.fill(0);
     }
 
     /// Submit one task from an owned [`TaskSpec`] (convenience wrapper
@@ -271,86 +224,63 @@ impl DiscoveryEngine {
     ///
     /// This is the allocation-free entry point: the view borrows its
     /// depend list and footprint (typically from a recycled
-    /// [`crate::builder::SpecBuf`]), and the engine stages everything
-    /// through its own recycled scratch buffers.
+    /// [`crate::builder::SpecBuf`]), and the engine walks each handle's
+    /// predecessor lists in place.
     pub fn submit_view(&mut self, sink: &mut dyn GraphSink, view: &SpecView<'_>) -> TaskId {
         let id = sink.add_task(view);
-        self.note_node(id);
-        self.stats.tasks += 1;
-        self.stats.depend_items += view.depends.len() as u64;
+        let wire = &mut self.wire;
+        wire.note_node(id);
+        wire.stats.tasks += 1;
+        wire.stats.depend_items += view.depends.len() as u64;
 
         for d in view.depends {
             let hidx = d.handle.index();
-            self.handle_mut(hidx); // ensure exists
+            if hidx >= self.handles.len() {
+                self.handles.resize_with(hidx + 1, HandleState::default);
+            }
+            let st = &mut self.handles[hidx];
             match d.mode {
                 AccessMode::In => {
-                    self.writer_preds(sink, hidx);
-                    let preds = std::mem::take(&mut self.scratch_preds);
-                    for p in &preds {
-                        self.edge(sink, *p, id);
+                    for &p in wire.last_write(sink, st) {
+                        wire.edge(sink, p, id);
                     }
-                    self.scratch_preds = preds;
-                    let st = &mut self.handles[hidx];
-                    st.group_open = false;
                     st.readers.push(id);
                 }
                 AccessMode::Out | AccessMode::InOut => {
-                    if self.handles[hidx].readers.is_empty() {
-                        self.writer_preds(sink, hidx);
+                    if st.readers.is_empty() {
+                        for &p in wire.last_write(sink, st) {
+                            wire.edge(sink, p, id);
+                        }
                     } else {
-                        self.scratch_preds.clear();
-                        let readers = std::mem::take(&mut self.handles[hidx].readers);
-                        self.scratch_preds.extend_from_slice(&readers);
-                        self.handles[hidx].readers = readers;
+                        for &p in &st.readers {
+                            wire.edge(sink, p, id);
+                        }
                     }
-                    let preds = std::mem::take(&mut self.scratch_preds);
-                    for p in &preds {
-                        self.edge(sink, *p, id);
+                    st.open_write(id, false);
+                }
+                AccessMode::InOutSet if st.writers_are_set && st.readers.is_empty() => {
+                    // Join the open group: an edge from every base
+                    // predecessor, none against fellow members.
+                    for &p in &st.group_base {
+                        wire.edge(sink, p, id);
                     }
-                    self.scratch_preds = preds;
-                    let st = &mut self.handles[hidx];
-                    st.last_writers.clear();
                     st.last_writers.push(id);
-                    st.writers_are_set = false;
-                    st.group_open = false;
-                    st.redirect = None;
-                    st.group_base.clear();
-                    st.group_pruned.clear();
-                    st.readers.clear();
                 }
                 AccessMode::InOutSet => {
-                    let joinable = {
-                        let st = &self.handles[hidx];
-                        st.writers_are_set && st.group_open && st.readers.is_empty()
-                    };
-                    if joinable {
-                        self.join_group(sink, hidx, id);
+                    // Open a new group; its base is what a write would
+                    // depend on here.
+                    let mut base = std::mem::take(&mut st.group_base);
+                    base.clear();
+                    if st.readers.is_empty() {
+                        base.extend_from_slice(wire.last_write(sink, st));
                     } else {
-                        // Open a new group.
-                        if self.handles[hidx].readers.is_empty() {
-                            self.writer_preds(sink, hidx);
-                        } else {
-                            self.scratch_preds.clear();
-                            let readers = std::mem::take(&mut self.handles[hidx].readers);
-                            self.scratch_preds.extend_from_slice(&readers);
-                            self.handles[hidx].readers = readers;
-                        }
-                        let preds = std::mem::take(&mut self.scratch_preds);
-                        for p in &preds {
-                            self.edge(sink, *p, id);
-                        }
-                        let st = &mut self.handles[hidx];
-                        st.group_base.clear();
-                        st.group_base.extend_from_slice(&preds);
-                        st.group_pruned.clear();
-                        self.scratch_preds = preds;
-                        st.last_writers.clear();
-                        st.last_writers.push(id);
-                        st.writers_are_set = true;
-                        st.group_open = true;
-                        st.redirect = None;
-                        st.readers.clear();
+                        base.extend_from_slice(&st.readers);
                     }
+                    for &p in &base {
+                        wire.edge(sink, p, id);
+                    }
+                    st.group_base = base;
+                    st.open_write(id, true);
                 }
             }
         }
@@ -362,6 +292,7 @@ impl DiscoveryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::TemplateRecorder;
     use crate::handle::HandleSpace;
     use proptest::prelude::*;
     use std::collections::HashSet;
@@ -730,16 +661,20 @@ mod tests {
     }
 
     /// A sink whose nodes finish on a fixed schedule: node `p` is complete
-    /// once `delays[p]` further nodes exist (never for [`NEVER`]). The
-    /// clock is the node count, which the memo does not change, so a
-    /// memo engine and a reference engine fed the same stream see the
-    /// same completions at every request. Completion is monotone, as on a
-    /// live graph.
+    /// once `delays[p]` further nodes exist (never for [`NEVER`]), so
+    /// completion is monotone, as on a live graph. The clock is the node
+    /// count, which the sink's answers do not change: every run of one
+    /// program meets the same clock at the same request.
     struct ScheduleSink {
         delays: Vec<u32>,
         n_nodes: u32,
+        /// Every `add_edge` call: `(pred, succ, node count at the call)`.
+        requests: Vec<(u32, u32, u32)>,
         edges: Vec<(u32, u32)>,
-        add_edge_calls: u64,
+        /// Predecessors an edge was pruned from.
+        pruned: HashSet<u32>,
+        /// Calls about a predecessor that was already pruned.
+        asked_again: u64,
     }
 
     const NEVER: u32 = u32::MAX;
@@ -749,9 +684,17 @@ mod tests {
             ScheduleSink {
                 delays,
                 n_nodes: 0,
+                requests: Vec::new(),
                 edges: Vec::new(),
-                add_edge_calls: 0,
+                pruned: HashSet::new(),
+                asked_again: 0,
             }
+        }
+
+        /// Whether node `p` has finished when `now` nodes exist.
+        fn finished(&self, p: u32, now: u32) -> bool {
+            let delay = self.delays[p as usize % self.delays.len()];
+            delay != NEVER && p + delay < now
         }
     }
 
@@ -764,9 +707,12 @@ mod tests {
             TaskId(self.n_nodes - 1)
         }
         fn add_edge(&mut self, pred: TaskId, succ: TaskId) -> bool {
-            self.add_edge_calls += 1;
-            let delay = self.delays[pred.index() % self.delays.len()];
-            if delay != NEVER && pred.0 + delay < self.n_nodes {
+            self.requests.push((pred.0, succ.0, self.n_nodes));
+            if self.pruned.contains(&pred.0) {
+                self.asked_again += 1;
+            }
+            if self.finished(pred.0, self.n_nodes) {
+                self.pruned.insert(pred.0);
                 return false;
             }
             self.edges.push((pred.0, succ.0));
@@ -775,41 +721,100 @@ mod tests {
         fn seal(&mut self, _task: TaskId) {}
     }
 
-    /// Discover `program` (per task: `(handle, mode)` items) once through
-    /// the memo and once through the pre-memo join loop.
-    fn memo_and_reference(
-        program: &[Vec<(usize, AccessMode)>],
-        delays: &[u32],
-        opts: OptConfig,
-    ) -> [(DiscoveryStats, ScheduleSink); 2] {
+    /// Per task: its `(handle, mode)` depend items over handles `0..4`.
+    type Program = [Vec<(usize, AccessMode)>];
+
+    fn specs(program: &Program) -> Vec<TaskSpec> {
         let mut s = HandleSpace::new();
         let handles: Vec<_> = (0..4).map(|_| s.region("h", 64)).collect();
-        [false, true].map(|reference_join| {
-            let mut eng = DiscoveryEngine::new(opts);
-            eng.reference_join = reference_join;
-            let mut sink = ScheduleSink::new(delays.to_vec());
-            for deps in program {
-                let mut spec = TaskSpec::new("t");
-                for &(h, mode) in deps {
-                    spec = spec.depend(handles[h], mode);
-                }
-                eng.submit(&mut sink, &spec);
-            }
-            (eng.stats(), sink)
-        })
+        program
+            .iter()
+            .map(|deps| {
+                deps.iter().fold(TaskSpec::new("t"), |spec, &(h, mode)| {
+                    spec.depend(handles[h], mode)
+                })
+            })
+            .collect()
     }
 
-    fn assert_memo_exact(program: &[Vec<(usize, AccessMode)>], delays: &[u32], opts: OptConfig) {
-        let [(stats, memo), (ref_stats, reference)] = memo_and_reference(program, delays, opts);
-        assert_eq!(stats, ref_stats, "every counter as without the memo");
-        assert_eq!(memo.edges, reference.edges, "same edges, same order");
-        assert!(memo.add_edge_calls <= reference.add_edge_calls);
+    fn discover(
+        program: &Program,
+        delays: Vec<u32>,
+        opts: OptConfig,
+    ) -> (DiscoveryStats, ScheduleSink) {
+        let mut eng = DiscoveryEngine::new(opts);
+        let mut sink = ScheduleSink::new(delays);
+        for spec in specs(program) {
+            eng.submit(&mut sink, &spec);
+        }
+        (eng.stats(), sink)
+    }
+
+    /// The completion memo against an oracle that needs nothing from the
+    /// engine: run `program` once into a never-pruning sink, which records
+    /// every edge request with its clock, and once under `delays`. The
+    /// second run must create exactly the recorded requests whose
+    /// predecessor was still live, count the rest as pruned, leave every
+    /// other counter as it was, and ask about a finished predecessor at
+    /// most once. Returns both runs' stats and sinks.
+    fn check_memo(
+        program: &Program,
+        delays: &[u32],
+        opts: OptConfig,
+    ) -> Result<[(DiscoveryStats, ScheduleSink); 2], TestCaseError> {
+        let (all_stats, all) = discover(program, vec![NEVER], opts);
+        let (stats, run) = discover(program, delays.to_vec(), opts);
+        let live: Vec<(u32, u32)> = all
+            .requests
+            .iter()
+            .filter(|&&(p, _, now)| !run.finished(p, now))
+            .map(|&(p, s, _)| (p, s))
+            .collect();
+        prop_assert_eq!(&run.edges, &live);
+        prop_assert_eq!(stats.edges_created, live.len() as u64);
+        prop_assert_eq!(
+            stats.edges_created + stats.edges_pruned,
+            all_stats.edges_created
+        );
+        let structural = |s: DiscoveryStats| DiscoveryStats {
+            edges_created: 0,
+            edges_pruned: 0,
+            ..s
+        };
+        prop_assert_eq!(structural(stats), structural(all_stats));
+        prop_assert_eq!(run.asked_again, 0);
+        Ok([(all_stats, all), (stats, run)])
+    }
+
+    #[test]
+    fn reset_clears_completion_memo() {
+        // Discover `w -> r` into a sink where `w` already finished, so the
+        // memo marks node 0; then reset and replay the same pattern into a
+        // fresh sink whose ids restart at 0. A stale completion bit would
+        // count the new graph's only real edge as pruned.
+        let (_s, x, _y) = space2();
+        let mut eng = DiscoveryEngine::new(OptConfig::all());
+        let mut sink = MemSink::default();
+        sink.consumed.insert(0);
+        eng.submit(&mut sink, &TaskSpec::new("w").depend(x, AccessMode::Out));
+        eng.submit(&mut sink, &TaskSpec::new("r").depend(x, AccessMode::In));
+        assert!(sink.edges.is_empty());
+
+        eng.reset_handle_state();
+        let mut sink2 = MemSink::default();
+        eng.submit(&mut sink2, &TaskSpec::new("w").depend(x, AccessMode::Out));
+        eng.submit(&mut sink2, &TaskSpec::new("r").depend(x, AccessMode::In));
+        assert_eq!(
+            sink2.edges,
+            vec![(0, 1)],
+            "completion memo from the previous graph must not prune a real edge"
+        );
     }
 
     /// Members whose own depend list also reaches a finished base
     /// predecessor: the duplicate probe still runs against memoized
     /// predecessors, so `dup_skipped` and `edges_pruned` split exactly as
-    /// before, in either depend-list order.
+    /// when every edge is requested, in either depend-list order.
     #[test]
     fn memo_keeps_duplicate_probes_on_pruned_bases() {
         use AccessMode::*;
@@ -824,33 +829,67 @@ mod tests {
         // Task 0 (the base) finishes at once; nothing else ever does.
         let delays: Vec<u32> = (0..64).map(|i| if i == 0 { 0 } else { NEVER }).collect();
         for opts in [OptConfig::all(), OptConfig::none()] {
-            assert_memo_exact(&program, &delays, opts);
+            check_memo(&program, &delays, opts).unwrap();
         }
-        let [(stats, memo), (_, reference)] =
-            memo_and_reference(&program, &delays, OptConfig::all());
+        let [(_, all), (stats, run)] = check_memo(&program, &delays, OptConfig::all()).unwrap();
         assert_eq!(stats.dup_skipped, 6);
         assert!(
-            memo.add_edge_calls < reference.add_edge_calls,
+            run.requests.len() < all.requests.len(),
             "later members skip the sink for the finished base"
         );
     }
 
-    /// Fig. 4's group behind n finished readers: only the opener and the
-    /// first joiner ask the sink about them — 2n calls instead of m·n.
+    /// Fig. 4's group behind n finished readers of a finished writer: each
+    /// finished node is asked about once — n + 1 calls instead of the
+    /// n + m·n the edges would take.
     #[test]
-    fn memo_asks_about_a_finished_base_twice_per_group() {
+    fn memo_asks_about_each_finished_node_once() {
         let (n, m) = (5usize, 7usize);
         let mut program = vec![vec![(0, AccessMode::Out)]];
         program.extend((0..n).map(|_| vec![(0, AccessMode::In)]));
         program.extend((0..m).map(|_| vec![(0, AccessMode::InOutSet)]));
         let delays = vec![0u32; 64];
-        let [(stats, memo), (ref_stats, reference)] =
-            memo_and_reference(&program, &delays, OptConfig::all());
-        assert_eq!(stats, ref_stats);
+        let [(_, all), (stats, run)] = check_memo(&program, &delays, OptConfig::all()).unwrap();
         // n reader edges, then the group: the opener plus m − 1 joiners.
         assert_eq!(stats.edges_pruned as usize, n + m * n);
-        assert_eq!(reference.add_edge_calls as usize, n + m * n);
-        assert_eq!(memo.add_edge_calls as usize, n + 2 * n);
+        assert_eq!(all.requests.len(), n + m * n);
+        assert_eq!(run.requests.len(), 1 + n);
+    }
+
+    /// The depend semantics spelled out naively: the predecessors an
+    /// access of `mode` needs, found by rescanning `history`, every
+    /// earlier `(task, mode)` access to the same region in submission
+    /// order. Self-edges are left in; the caller drops them.
+    fn naive_preds(history: &[(u32, AccessMode)], mode: AccessMode) -> Vec<u32> {
+        use AccessMode::*;
+        let tasks = |h: &[(u32, AccessMode)]| h.iter().map(|a| a.0).collect::<Vec<_>>();
+        // Start of the trailing run of accesses with mode `m`.
+        let run_start = |h: &[(u32, AccessMode)], m: AccessMode| {
+            h.iter().rposition(|a| a.1 != m).map_or(0, |i| i + 1)
+        };
+        // The last write: one `out`/`inout` task or a whole `inoutset` run.
+        let writers = |h: &[(u32, AccessMode)]| match h.iter().rposition(|a| a.1 != In) {
+            None => vec![],
+            Some(w) if h[w].1 == InOutSet => tasks(&h[run_start(&h[..=w], InOutSet)..=w]),
+            Some(w) => vec![h[w].0],
+        };
+        // What a write depends on: the readers since the last write, or
+        // the last write itself when none read it.
+        let write_preds = |h: &[(u32, AccessMode)]| {
+            let readers = &h[run_start(h, In)..];
+            if readers.is_empty() {
+                writers(h)
+            } else {
+                tasks(readers)
+            }
+        };
+        match mode {
+            In => writers(history),
+            Out | InOut => write_preds(history),
+            // A member depends on what its group's opener did: the group
+            // is the trailing `inoutset` run, empty for an opener.
+            InOutSet => write_preds(&history[..run_start(history, InOutSet)]),
+        }
     }
 
     fn program_strategy() -> impl Strategy<Value = Vec<Vec<(usize, AccessMode)>>> {
@@ -872,11 +911,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The memo is exact: against a random monotone completion
-        /// schedule, every `DiscoveryStats` field and the created-edge
-        /// list equal the pre-memo join loop's, under every optimization
-        /// switch.
+        /// schedule, the created edges are the live requests of a run that
+        /// asks about every edge, and every other counter is unchanged,
+        /// under every optimization switch.
         #[test]
-        fn memo_matches_the_reference_join(
+        fn memo_matches_the_never_pruning_run(
             program in program_strategy(),
             delays in prop::collection::vec(0u32..12, 128),
         ) {
@@ -890,12 +929,39 @@ mod tests {
                 OptConfig::dedup_only(),
                 OptConfig::redirect_only(),
             ] {
-                let [(stats, memo), (ref_stats, reference)] =
-                    memo_and_reference(&program, &delays, opts);
-                prop_assert_eq!(stats, ref_stats);
-                prop_assert_eq!(&memo.edges, &reference.edges);
-                prop_assert!(memo.add_edge_calls <= reference.add_edge_calls);
+                check_memo(&program, &delays, opts)?;
             }
+        }
+
+        /// Without (b) and (c), discovery into a template requests exactly
+        /// the edges the naive semantics name, duplicates included.
+        #[test]
+        fn unoptimized_discovery_matches_the_naive_semantics(program in program_strategy()) {
+            let mut eng = DiscoveryEngine::new(OptConfig::none());
+            let mut rec = TemplateRecorder::new(false);
+            let mut expected = Vec::new();
+            let mut history: Vec<Vec<(u32, AccessMode)>> = vec![Vec::new(); 4];
+            for (t, (spec, deps)) in specs(&program).iter().zip(&program).enumerate() {
+                let t = t as u32;
+                prop_assert_eq!(eng.submit(&mut rec, spec), TaskId(t));
+                for &(h, mode) in deps {
+                    for p in naive_preds(&history[h], mode) {
+                        if p != t {
+                            expected.push((p, t));
+                        }
+                    }
+                    history[h].push((t, mode));
+                }
+            }
+            let graph = rec.finish();
+            let mut edges: Vec<(u32, u32)> = graph
+                .ids()
+                .flat_map(|p| graph.successors(p).map(move |s| (p.0, s.0)))
+                .collect();
+            edges.sort_unstable();
+            expected.sort_unstable();
+            prop_assert_eq!(graph.n_nodes(), program.len());
+            prop_assert_eq!(edges, expected);
         }
     }
 }

@@ -59,8 +59,9 @@ pub trait GraphSink {
     ///
     /// Pruning must be monotone per predecessor: once an edge from `pred`
     /// is pruned, every later edge from `pred` would be too (completion
-    /// is final). The engine relies on this to stop asking about finished
-    /// `inoutset` base predecessors (DESIGN.md §4.4).
+    /// is final). The engine relies on this to ask about each predecessor
+    /// only until an edge from it is first pruned (its completion memo,
+    /// DESIGN.md §4.4).
     fn add_edge(&mut self, pred: TaskId, succ: TaskId) -> bool;
 
     /// All edges of `task` have been added; it may become ready.

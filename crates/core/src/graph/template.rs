@@ -64,7 +64,7 @@ impl TemplateRecorder {
 
 impl GraphSink for TemplateRecorder {
     fn add_task(&mut self, spec: &SpecView<'_>) -> TaskId {
-        let id = self.nodes.len() as u32;
+        let id = TaskId::from_index(self.nodes.len());
         // Capture owns its data: clone out of the view (this allocation
         // is capture-only — the streaming hot path never records).
         self.nodes.push(TemplateNode {
@@ -82,11 +82,11 @@ impl GraphSink for TemplateRecorder {
             fp_bytes: spec.fp_bytes,
             is_redirect: false,
         });
-        TaskId(id)
+        id
     }
 
     fn add_redirect(&mut self) -> TaskId {
-        let id = self.nodes.len() as u32;
+        let id = TaskId::from_index(self.nodes.len());
         self.nodes.push(TemplateNode {
             name: "<redirect>",
             body: None,
@@ -95,7 +95,7 @@ impl GraphSink for TemplateRecorder {
             fp_bytes: 0,
             is_redirect: true,
         });
-        TaskId(id)
+        id
     }
 
     fn add_edge(&mut self, pred: TaskId, succ: TaskId) -> bool {

@@ -146,7 +146,7 @@ impl GraphInstance {
 
 impl GraphSink for GraphInstance {
     fn add_task(&mut self, view: &SpecView<'_>) -> TaskId {
-        let id = TaskId(self.nodes.len() as u32);
+        let id = TaskId::from_index(self.nodes.len());
         self.tracker.created(1);
         let node = RtNode::from_view(
             id,
@@ -167,7 +167,7 @@ impl GraphSink for GraphInstance {
     }
 
     fn add_redirect(&mut self) -> TaskId {
-        let id = TaskId(self.nodes.len() as u32);
+        let id = TaskId::from_index(self.nodes.len());
         self.tracker.created(1);
         self.nodes
             .push(self.arena.alloc(RtNode::redirect(id, self.iter)));

@@ -14,6 +14,22 @@ use std::sync::Arc;
 pub struct TaskId(pub u32);
 
 impl TaskId {
+    /// The id of the node at `index` of a dense node table.
+    ///
+    /// Panics once `index` reaches `u32::MAX`: an id must never wrap
+    /// onto a live node's (the discovery engine keys its duplicate probe
+    /// and completion memo by id), and `u32::MAX` itself is the probe's
+    /// empty marker.
+    pub fn from_index(index: usize) -> TaskId {
+        match u32::try_from(index) {
+            Ok(id) if id != u32::MAX => TaskId(id),
+            _ => panic!(
+                "task id overflow: node {index} exceeds the {} ids a graph may hold",
+                u32::MAX
+            ),
+        }
+    }
+
     /// Raw index.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -250,5 +266,26 @@ mod tests {
         assert!(TaskId(1) < TaskId(2));
         assert_eq!(TaskId(7).index(), 7);
         assert_eq!(format!("{:?}", TaskId(3)), "t3");
+    }
+
+    #[test]
+    fn from_index_keeps_every_id_below_the_marker() {
+        assert_eq!(TaskId::from_index(0), TaskId(0));
+        let last = u32::MAX as usize - 1;
+        assert_eq!(TaskId::from_index(last).index(), last);
+    }
+
+    #[test]
+    #[should_panic(expected = "task id overflow")]
+    fn from_index_rejects_the_probe_marker() {
+        TaskId::from_index(u32::MAX as usize);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "task id overflow")]
+    fn from_index_never_wraps() {
+        // The index `as u32` would alias node 0.
+        TaskId::from_index(u32::MAX as usize + 1);
     }
 }

@@ -5,7 +5,9 @@
 //! cargo run --release -p ptdg-hpcg --bin hpcg -- --nx 12 --iters 30 --tpl 16
 //! ```
 
-use ptdg_core::exec::{run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig};
+use ptdg_core::exec::{
+    default_workers, run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig,
+};
 use ptdg_core::obs::{chrome_trace, critical_path};
 use ptdg_core::opts::OptConfig;
 use ptdg_core::ThrottleConfig;
@@ -17,9 +19,7 @@ fn main() {
     let mut nx = 10usize;
     let mut iters = 25u64;
     let mut tpl = 16usize;
-    let mut workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let mut workers = default_workers();
     let mut ranks = 1usize;
     let mut trace: Option<PathBuf> = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();

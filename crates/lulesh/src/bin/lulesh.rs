@@ -6,7 +6,9 @@
 //! cargo run --release -p ptdg-lulesh --bin lulesh -- -s 12 -i 20 -tel 32
 //! ```
 
-use ptdg_core::exec::{run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig};
+use ptdg_core::exec::{
+    default_workers, run_program, ExecConfig, Executor, SchedPolicy, ThreadsConfig,
+};
 use ptdg_core::obs::{chrome_trace, critical_path};
 use ptdg_core::opts::OptConfig;
 use ptdg_core::ThrottleConfig;
@@ -31,9 +33,7 @@ fn parse() -> Result<Args, String> {
         s: 10,
         i: 10,
         tel: 24,
-        workers: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        workers: default_workers(),
         ranks: 1,
         parallel_for: false,
         persistent: true,
