@@ -136,10 +136,8 @@ fn main() {
     );
     if let Some(path) = &trace {
         let mut obs = exec.take_obs();
-        let created = obs.counters.tasks_created;
         obs.counters
             .absorb_discovery(&region.first_iteration_stats());
-        obs.counters.tasks_created = created;
         let doc = chrome_trace(&obs.trace, &obs.events, &obs.counters);
         if let Err(e) = std::fs::write(path, doc.render() + "\n") {
             eprintln!("failed to write {}: {e}", path.display());

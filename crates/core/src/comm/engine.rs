@@ -40,8 +40,11 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use super::error::{CommError, UnmatchedComm};
-use super::mailbox::{coll_tag, CollState, CommCompletion, Envelope, MatchState, COLL_TAG_BIT};
+use super::error::CommError;
+use super::mailbox::{
+    coll_tag, CollState, CommCompletion, Envelope, MatchState, Waiter, COLL_TAG_BIT,
+};
+use super::matching::{is_rendezvous, Parked, EAGER_THRESHOLD};
 use crate::rt::{Injector, NodeRef, Parker};
 use crate::workdesc::CommOp;
 
@@ -50,14 +53,15 @@ use crate::workdesc::CommOp;
 pub struct CommConfig {
     /// Sends at or below this size complete at post time (eager); larger
     /// sends complete only when the matching recv consumes them
-    /// (rendezvous). Mirrors the DES `NetConfig` default of 16 KiB.
+    /// (rendezvous). Defaults to [`EAGER_THRESHOLD`], as the DES
+    /// `NetConfig` does.
     pub eager_threshold: u64,
 }
 
 impl Default for CommConfig {
     fn default() -> Self {
         CommConfig {
-            eager_threshold: 16 * 1024,
+            eager_threshold: EAGER_THRESHOLD,
         }
     }
 }
@@ -212,74 +216,71 @@ impl CommWorld {
         match op {
             CommOp::Isend { peer, bytes, tag } => self.post_isend(rank, peer, bytes, tag, done),
             CommOp::Irecv { peer, tag, .. } => self.post_irecv(rank, peer, tag, done),
-            CommOp::Iallreduce { bytes } => self.post_iallreduce(rank, bytes, done),
+            CommOp::Iallreduce { .. } => self.post_iallreduce(rank, done),
         }
     }
 
     fn post_isend(&self, src: u32, dst: u32, bytes: u64, tag: u32, done: CommCompletion) {
         debug_assert!(tag & COLL_TAG_BIT == 0, "p2p tags must be < 2^31");
-        if dst >= self.n_ranks {
-            let mut st = self.endpoints[src as usize].state.lock().unwrap();
-            st.invalid.push((dst, tag, "Isend", done));
-            return;
-        }
-        if bytes <= self.cfg.eager_threshold {
-            // Eager: the payload is "copied out" at post time, so the
-            // sender's request completes immediately — still off-core,
-            // through the completion queue.
-            self.send_envelope(
-                dst,
-                Envelope {
-                    src,
-                    tag,
-                    bytes,
-                    sender_done: None,
-                },
-            );
-            self.deliver(src, done, false);
+        let unmatchable = dst >= self.n_ranks;
+        // Rendezvous: the send completes only when the matching recv
+        // consumes the envelope; the completion rides along (and, to a
+        // peer outside the world, waits for the end-of-run report). Eager:
+        // the payload is "copied out" at post time, so the sender's
+        // request completes immediately — still off-core, through the
+        // completion queue.
+        let (sender_done, eager_done) =
+            if unmatchable || is_rendezvous(bytes, self.cfg.eager_threshold) {
+                (Some(done), None)
+            } else {
+                (None, Some(done))
+            };
+        let env = Envelope {
+            src,
+            tag,
+            sender_done,
+        };
+        if unmatchable {
+            self.park_unmatchable(src, dst, tag, Parked::Send(env));
         } else {
-            // Rendezvous: the send completes only when the matching recv
-            // consumes the envelope; the completion rides along.
-            self.send_envelope(
-                dst,
-                Envelope {
-                    src,
-                    tag,
-                    bytes,
-                    sender_done: Some(done),
-                },
-            );
+            self.send_envelope(dst, env);
         }
+        if let Some(done) = eager_done {
+            self.deliver(src, done, false);
+        }
+    }
+
+    /// Park a request from `rank` naming a `peer` outside the world.
+    fn park_unmatchable(&self, rank: u32, peer: u32, tag: u32, offer: Parked<Envelope, Waiter>) {
+        let mut st = self.endpoints[rank as usize].state.lock().unwrap();
+        st.table.park_unmatchable(peer, tag, offer);
     }
 
     fn post_irecv(&self, dst: u32, src: u32, tag: u32, done: CommCompletion) {
         debug_assert!(tag & COLL_TAG_BIT == 0, "p2p tags must be < 2^31");
         if src >= self.n_ranks {
-            let mut st = self.endpoints[dst as usize].state.lock().unwrap();
-            st.invalid.push((src, tag, "Irecv", done));
+            self.park_unmatchable(dst, src, tag, Parked::Recv(Waiter::Recv(done)));
             return;
         }
-        let matched = {
-            let mut st = self.endpoints[dst as usize].state.lock().unwrap();
-            match st.take_unexpected(src, tag) {
-                Some(env) => Some((env.sender_done, done)),
-                None => {
-                    st.queue_recv(src, tag, done);
-                    None
-                }
-            }
-        };
-        if let Some((sender_done, done)) = matched {
-            if let Some(sd) = sender_done {
-                self.deliver(src, sd, false);
-            }
-            self.deliver(dst, done, false);
+        let mut st = self.endpoints[dst as usize].state.lock().unwrap();
+        // Match what has already arrived first: a receive must not
+        // overtake a message delivered before it was posted.
+        self.drain_inbox(dst, &mut st);
+        if let Some((env, Waiter::Recv(done))) = st.table.offer_recv(src, tag, Waiter::Recv(done)) {
+            self.complete_match(dst, env, done);
         }
     }
 
-    fn post_iallreduce(&self, rank: u32, bytes: u64, done: CommCompletion) {
-        let rounds = Self::ceil_log2(self.n_ranks);
-        if rounds == 0 {
+    /// Deliver both sides of a matched user receive.
+    fn complete_match(&self, rank: u32, env: Envelope, done: CommCompletion) {
+        if let Some(sd) = env.sender_done {
+            self.deliver(env.src, sd, false);
+        }
+        self.deliver(rank, done, false);
+    }
+
+    fn post_iallreduce(&self, rank: u32, done: CommCompletion) {
+        if self.n_ranks == 1 {
             self.deliver(rank, done, false);
             return;
         }
@@ -287,19 +288,11 @@ impl CommWorld {
             let mut st = self.endpoints[rank as usize].state.lock().unwrap();
             let seq = st.next_coll_seq;
             st.next_coll_seq += 1;
-            st.colls.insert(
-                seq,
-                CollState {
-                    done,
-                    bytes,
-                    round: 0,
-                    rounds,
-                },
-            );
+            st.colls.insert(seq, CollState { done, round: 0 });
             // Sending while holding our own mailbox mutex is fine (peer
             // delivery is lock-free) and keeps round bookkeeping atomic.
-            self.coll_send(rank, seq, 0, bytes);
-            self.coll_advance(rank, &mut st, seq)
+            self.coll_send(rank, seq, 0);
+            self.coll_progress(rank, &mut st, seq, false)
         };
         if let Some(done) = finished {
             self.deliver(rank, done, false);
@@ -307,14 +300,13 @@ impl CommWorld {
     }
 
     /// Send this rank's round-`round` dissemination message.
-    fn coll_send(&self, rank: u32, seq: u64, round: u32, bytes: u64) {
+    fn coll_send(&self, rank: u32, seq: u64, round: u32) {
         let dst = (rank as u64 + (1u64 << round)) % self.n_ranks as u64;
         self.send_envelope(
             dst as u32,
             Envelope {
                 src: rank,
                 tag: coll_tag(seq, round),
-                bytes,
                 sender_done: None,
             },
         );
@@ -326,31 +318,36 @@ impl CommWorld {
         ((rank as u64 + n - (1u64 << round) % n) % n) as u32
     }
 
-    /// Absorb every already-arrived round message for collective `seq`.
-    /// Either registers the next awaited (src, tag) and returns `None`,
-    /// or removes the finished collective and returns its completion.
-    fn coll_advance(&self, rank: u32, st: &mut MatchState, seq: u64) -> Option<CommCompletion> {
-        let (mut round, rounds, bytes) = {
-            let c = st.colls.get(&seq)?;
-            (c.round, c.rounds, c.bytes)
-        };
-        while round < rounds {
-            let from = self.coll_recv_peer(rank, round);
-            if st.take_unexpected(from, coll_tag(seq, round)).is_none() {
-                break;
+    /// Drive collective `seq`; `have` says the message of its current
+    /// round is in hand. Takes every round message already parked,
+    /// sending each next round, and returns the completion once the last
+    /// round is in — or leaves a wait for the first missing message as a
+    /// posted receive in the table.
+    fn coll_progress(
+        &self,
+        rank: u32,
+        st: &mut MatchState,
+        seq: u64,
+        mut have: bool,
+    ) -> Option<CommCompletion> {
+        loop {
+            let c = st.colls.get_mut(&seq).expect("collective in flight");
+            if have {
+                c.round += 1;
+                if c.round == Self::ceil_log2(self.n_ranks) {
+                    return st.colls.remove(&seq).map(|c| c.done);
+                }
+                self.coll_send(rank, seq, c.round);
             }
-            round += 1;
-            if round < rounds {
-                self.coll_send(rank, seq, round, bytes);
-            }
-        }
-        if round >= rounds {
-            Some(st.colls.remove(&seq).unwrap().done)
-        } else {
+            let round = c.round;
             let from = self.coll_recv_peer(rank, round);
-            st.coll_waiting.insert((from, coll_tag(seq, round)), seq);
-            st.colls.get_mut(&seq).unwrap().round = round;
-            None
+            have = st
+                .table
+                .offer_recv(from, coll_tag(seq, round), Waiter::Coll(seq))
+                .is_some();
+            if !have {
+                return None;
+            }
         }
     }
 
@@ -371,45 +368,26 @@ impl CommWorld {
         let Ok(mut st) = ep.state.try_lock() else {
             return false;
         };
-        let mut any = false;
-        while let Some(env) = ep.inbox.pop() {
-            any = true;
-            self.match_envelope(rank, &mut st, env);
-        }
-        any
+        self.drain_inbox(rank, &mut st)
     }
 
-    fn match_envelope(&self, rank: u32, st: &mut MatchState, env: Envelope) {
-        if env.tag & COLL_TAG_BIT != 0 {
-            if let Some(seq) = st.coll_waiting.remove(&(env.src, env.tag)) {
-                // Exactly the round message this collective waits on:
-                // absorb it, forward the next round, then soak up any
-                // further rounds that already arrived out of order.
-                let (round, rounds, bytes) = {
-                    let c = st.colls.get_mut(&seq).expect("waiting coll exists");
-                    c.round += 1;
-                    (c.round, c.rounds, c.bytes)
-                };
-                if round < rounds {
-                    self.coll_send(rank, seq, round, bytes);
+    /// Match every envelope in `rank`'s inbox, under its mailbox lock
+    /// (`st`). Returns true if there was any.
+    fn drain_inbox(&self, rank: u32, st: &mut MatchState) -> bool {
+        let mut any = false;
+        while let Some(env) = self.endpoints[rank as usize].inbox.pop() {
+            any = true;
+            match st.table.offer_send(env.src, env.tag, env) {
+                Some((env, Waiter::Recv(done))) => self.complete_match(rank, env, done),
+                Some((_, Waiter::Coll(seq))) => {
+                    if let Some(done) = self.coll_progress(rank, st, seq, true) {
+                        self.deliver(rank, done, false);
+                    }
                 }
-                if let Some(done) = self.coll_advance(rank, st, seq) {
-                    self.deliver(rank, done, false);
-                }
-            } else {
-                st.queue_unexpected(env);
+                None => {}
             }
-            return;
         }
-        match st.take_recv(env.src, env.tag) {
-            Some(done) => {
-                if let Some(sd) = env.sender_done {
-                    self.deliver(env.src, sd, false);
-                }
-                self.deliver(rank, done, false);
-            }
-            None => st.queue_unexpected(env),
-        }
+        any
     }
 
     /// Whether `rank` has an envelope to match or a completion to drain:
@@ -427,13 +405,15 @@ impl CommWorld {
     }
 
     /// Unexpected-message count (envelopes that arrived before their recv
-    /// was posted) observed by this rank so far.
+    /// was posted, collective rounds included) observed by this rank so
+    /// far.
     pub fn unexpected_count(&self, rank: u32) -> u64 {
         self.endpoints[rank as usize]
             .state
             .lock()
             .unwrap()
-            .unexpected_msgs
+            .table
+            .unexpected()
     }
 
     /// Clear this rank's stall flag. Must be called before a thread starts
@@ -480,10 +460,18 @@ impl CommWorld {
         // Validation sweep, with the status lock held so nobody can clear
         // a stall flag under us. Taking each mailbox mutex blockingly also
         // serializes against any matching still running on that rank.
-        // Nothing is mutated in this pass, so bailing out is always safe.
+        // The only mutation is the matching a finished rank no longer
+        // does for itself, so bailing out is always safe.
         let mut any_pending = false;
         for (r, ep) in self.endpoints.iter().enumerate() {
-            let mbox = ep.state.lock().unwrap();
+            let mut mbox = ep.state.lock().unwrap();
+            if st.done[r] {
+                // Nobody sweeps a finished rank's inbox any more: match
+                // what reached it here, so a message it will never
+                // receive parks (and is reported) instead of blocking
+                // the verdict forever.
+                self.drain_inbox(r as u32, &mut mbox);
+            }
             if !ep.inbox.is_empty() || !ep.completions.is_empty() {
                 return false;
             }
@@ -508,20 +496,9 @@ impl CommWorld {
         // races past the validation self-completes and cannot hang.
         st.fired = true;
         self.poisoned.store(true, Ordering::SeqCst);
-        let mut unmatched: Vec<UnmatchedComm> = Vec::new();
-        let mut forced: Vec<(u32, CommCompletion)> = Vec::new();
-        for (r, ep) in self.endpoints.iter().enumerate() {
-            let mut mbox = ep.state.lock().unwrap();
-            let (mut u, mut f) = mbox.drain_pending(r as u32);
-            unmatched.append(&mut u);
-            forced.append(&mut f);
-        }
-        unmatched.sort_by_key(|u| (u.rank, u.peer, u.tag));
-        st.error = Some(CommError { unmatched });
-        drop(st);
-        for (owner, done) in forced {
-            self.deliver(owner, done, true);
-        }
+        // Forced completions wake their ranks, but none can report back
+        // before the error is stored: that needs the status lock we hold.
+        st.error = self.drain_all();
         true
     }
 
@@ -535,36 +512,26 @@ impl CommWorld {
     /// requests (e.g. an eager send nobody ever received — the sender
     /// completed, so no deadlock, but the program was still malformed).
     pub fn finish(&self) -> Option<CommError> {
-        if let Some(e) = self.take_error() {
-            return Some(e);
-        }
-        let mut unmatched: Vec<UnmatchedComm> = Vec::new();
-        let mut all_forced: Vec<(u32, CommCompletion)> = Vec::new();
+        self.take_error().or_else(|| self.drain_all())
+    }
+
+    /// Match what is still in every inbox, then empty every mailbox:
+    /// force-complete the parked requests (a rendezvous sender's
+    /// completion goes to the sender) and return the error naming them.
+    fn drain_all(&self) -> Option<CommError> {
+        let mut unmatched = Vec::new();
+        let mut forced = Vec::new();
         for (r, ep) in self.endpoints.iter().enumerate() {
-            // Flush in-flight envelopes into the mailbox first so
-            // reporting sees everything uniformly.
             let mut st = ep.state.lock().unwrap();
-            while let Some(env) = ep.inbox.pop() {
-                self.match_envelope(r as u32, &mut st, env);
-            }
-            if !st.is_clean() {
-                let (mut u, mut f) = st.drain_pending(r as u32);
-                unmatched.append(&mut u);
-                all_forced.append(&mut f);
-            }
+            self.drain_inbox(r as u32, &mut st);
+            let (mut u, mut f) = st.drain_pending(r as u32);
+            unmatched.append(&mut u);
+            forced.append(&mut f);
         }
-        // The run is over; nothing waits on these nodes' successors, but
-        // queue their completions anyway so a late drain (or teardown
-        // diagnostics) sees a consistent request ledger.
-        for (owner, done) in all_forced {
+        for (owner, done) in forced {
             self.deliver(owner, done, true);
         }
-        if unmatched.is_empty() {
-            None
-        } else {
-            unmatched.sort_by_key(|u| (u.rank, u.peer, u.tag));
-            Some(CommError { unmatched })
-        }
+        CommError::from_unmatched(unmatched)
     }
 }
 
@@ -843,6 +810,52 @@ mod tests {
                 .unmatched,
             err.unmatched
         );
+    }
+
+    #[test]
+    fn stall_detector_matches_a_finished_ranks_inbox() {
+        let w = world(2);
+        let rs = post(
+            &w,
+            0,
+            90,
+            CommOp::Isend {
+                peer: 1,
+                bytes: 64 * 1024,
+                tag: 4,
+            },
+        );
+        // Rank 1 retires without ever sweeping its inbox, so only the
+        // detector can see that the rendezvous envelope there will never
+        // be received.
+        w.note_done(1);
+        assert!(w.note_stall(0), "detector fires");
+        let err = w.take_error().expect("structured error recorded");
+        assert_eq!(err.unmatched.len(), 1);
+        let u = &err.unmatched[0];
+        assert_eq!((u.rank, u.peer, u.tag, u.op), (0, 1, 4, "Isend"));
+        let fc = w.pop_completion(0).expect("sender force-completed");
+        assert_eq!(fc.req, rs);
+        assert!(fc.forced);
+        assert_eq!(w.unexpected_count(1), 1, "the envelope parked unexpected");
+    }
+
+    #[test]
+    fn allreduce_entry_names_the_collective_not_the_round() {
+        let w = world(4);
+        // Ranks 0–2 post two all-reduces each; rank 3 never joins, so
+        // every rank's first one stalls after its first round.
+        for r in 0..3 {
+            for k in 0..2 {
+                post(&w, r, 200 + 2 * r + k, CommOp::Iallreduce { bytes: 8 });
+            }
+        }
+        for r in 0..4 {
+            w.progress(r);
+        }
+        let err = w.finish().expect("stuck collectives surface");
+        let got: Vec<_> = err.unmatched.iter().map(|u| (u.rank, u.tag)).collect();
+        assert_eq!(got, vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Shared by both back-ends: the Threads comm engine ([`super::CommWorld`])
 //! reports it when its deadlock detector fires or when a run finishes with
-//! unconsumed messages, and `ptdg-simrt` converts the DES network's
-//! unmatched-request maps into the same shape instead of asserting.
+//! unconsumed messages, and the simulator's network reports what is still
+//! parked at the end of a run. Both build it with
+//! [`CommError::from_unmatched`], so the entries come in one order.
 
 use std::fmt;
 
@@ -18,7 +19,8 @@ pub struct UnmatchedComm {
     pub rank: u32,
     /// The peer the request names ([`NO_PEER`] for collectives).
     pub peer: u32,
-    /// Match tag (for collectives: the dissemination round reached).
+    /// Match tag (for collectives: the collective's index in this rank's
+    /// posting order, from 0).
     pub tag: u32,
     /// Operation kind, e.g. `"Isend"`, `"Irecv"`, `"Iallreduce"`.
     pub op: &'static str,
@@ -44,18 +46,19 @@ impl fmt::Display for UnmatchedComm {
 ///
 /// The triples name every endpoint the engine could still see: pending
 /// receives, unmatched (rendezvous or undelivered) sends, and collectives
-/// stuck mid-dissemination.
+/// that never completed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommError {
-    /// Every unmatched request/message, in rank order.
+    /// Every unmatched request/message, sorted by (rank, peer, tag, op).
     pub unmatched: Vec<UnmatchedComm>,
 }
 
 impl CommError {
-    /// True if nothing was actually unmatched (should not normally be
-    /// constructed in that state).
-    pub fn is_empty(&self) -> bool {
-        self.unmatched.is_empty()
+    /// The error naming `unmatched` in report order, or `None` if the
+    /// list is empty.
+    pub fn from_unmatched(mut unmatched: Vec<UnmatchedComm>) -> Option<CommError> {
+        unmatched.sort_by_key(|u| (u.rank, u.peer, u.tag, u.op));
+        (!unmatched.is_empty()).then_some(CommError { unmatched })
     }
 }
 

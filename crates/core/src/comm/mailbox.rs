@@ -1,4 +1,5 @@
-//! Per-rank mailbox state: message envelopes and (peer, tag) matching.
+//! Per-rank mailbox state: message envelopes, collective rounds and the
+//! rank's [`MatchTable`].
 //!
 //! Cross-rank delivery is lock-free — senders push [`Envelope`]s into the
 //! destination rank's [`crate::rt::Injector`] inbox — but *matching* is
@@ -6,8 +7,10 @@
 //! that rank's [`MatchState`] mutex, so per-(source, tag) FIFO order (MPI
 //! non-overtaking) holds without any cross-rank locking.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
+use super::error::{UnmatchedComm, NO_PEER};
+use super::matching::{MatchTable, Parked};
 use crate::rt::NodeRef;
 
 /// Tag bit reserved for collective round messages. User-visible p2p tags
@@ -44,87 +47,45 @@ pub struct CommCompletion {
 pub(crate) struct Envelope {
     pub src: u32,
     pub tag: u32,
-    #[allow(dead_code)] // recorded for symmetry with the DES network
-    pub bytes: u64,
     /// Completion to route back to the sender when this message is
     /// consumed. `Some` only for rendezvous sends — eager senders complete
     /// at post time; collective round messages are always eager.
     pub sender_done: Option<CommCompletion>,
 }
 
+/// A receive posted into a rank's [`MatchTable`].
+pub(crate) enum Waiter {
+    /// A user `Irecv`, completed when its message arrives.
+    Recv(CommCompletion),
+    /// Collective `seq` waiting for its current round's message.
+    Coll(u64),
+}
+
 /// A dissemination all-reduce in flight on one rank.
 pub(crate) struct CollState {
     /// Completion for this rank's `Iallreduce` node.
     pub done: CommCompletion,
-    pub bytes: u64,
     /// Next round whose message this rank still waits for.
     pub round: u32,
-    /// Total rounds = ceil(log2(n_ranks)).
-    pub rounds: u32,
 }
 
 /// All matching state of one rank, guarded by the endpoint mutex.
 #[derive(Default)]
 pub(crate) struct MatchState {
-    /// Envelopes that arrived before a matching recv: (src, tag) -> FIFO.
-    unexpected: HashMap<(u32, u32), VecDeque<Envelope>>,
-    /// Recvs posted before a matching envelope: (src, tag) -> FIFO.
-    recvs: HashMap<(u32, u32), VecDeque<CommCompletion>>,
+    /// Envelopes addressed to this rank, the receives (user `Irecv`s and
+    /// collective rounds) waiting for them, requests naming a peer
+    /// outside the world, and the census.
+    pub table: MatchTable<Envelope, Waiter>,
     /// In-flight collectives keyed by sequence number.
     pub colls: HashMap<u64, CollState>,
-    /// (src, tag) a collective round is currently waiting on -> its seq.
-    pub coll_waiting: HashMap<(u32, u32), u64>,
     /// Next collective sequence number (posting order on this rank).
     pub next_coll_seq: u64,
-    /// Requests naming an out-of-range peer; kept only so deadlock/finish
-    /// reporting can name them and force-complete their nodes.
-    pub invalid: Vec<(u32, u32, &'static str, CommCompletion)>,
-    /// Envelopes that had to be queued as unexpected (arrived before
-    /// their recv was posted) — the `unexpected_msgs` counter.
-    pub unexpected_msgs: u64,
 }
 
 impl MatchState {
-    /// Pop the oldest unexpected envelope from `src` with `tag`.
-    pub fn take_unexpected(&mut self, src: u32, tag: u32) -> Option<Envelope> {
-        let q = self.unexpected.get_mut(&(src, tag))?;
-        let env = q.pop_front();
-        if q.is_empty() {
-            self.unexpected.remove(&(src, tag));
-        }
-        env
-    }
-
-    /// Queue an envelope no recv was waiting for.
-    pub fn queue_unexpected(&mut self, env: Envelope) {
-        self.unexpected_msgs += 1;
-        self.unexpected
-            .entry((env.src, env.tag))
-            .or_default()
-            .push_back(env);
-    }
-
-    /// Pop the oldest pending recv matching (src, tag).
-    pub fn take_recv(&mut self, src: u32, tag: u32) -> Option<CommCompletion> {
-        let q = self.recvs.get_mut(&(src, tag))?;
-        let done = q.pop_front();
-        if q.is_empty() {
-            self.recvs.remove(&(src, tag));
-        }
-        done
-    }
-
-    /// Queue a recv that found no matching envelope.
-    pub fn queue_recv(&mut self, src: u32, tag: u32, done: CommCompletion) {
-        self.recvs.entry((src, tag)).or_default().push_back(done);
-    }
-
     /// True if no request or message is parked in this rank's state.
     pub fn is_clean(&self) -> bool {
-        self.unexpected.is_empty()
-            && self.recvs.is_empty()
-            && self.colls.is_empty()
-            && self.invalid.is_empty()
+        self.table.is_empty() && self.colls.is_empty()
     }
 
     /// Drain every parked request/message for deadlock or end-of-run
@@ -132,66 +93,33 @@ impl MatchState {
     /// force, each tagged with the rank whose completion queue must
     /// receive it (a rendezvous sender's completion belongs to the
     /// *sender*, not to `rank`, the owner of this state).
-    pub fn drain_pending(
-        &mut self,
-        rank: u32,
-    ) -> (Vec<super::UnmatchedComm>, Vec<(u32, CommCompletion)>) {
-        use super::{UnmatchedComm, NO_PEER};
+    pub fn drain_pending(&mut self, rank: u32) -> (Vec<UnmatchedComm>, Vec<(u32, CommCompletion)>) {
         let mut unmatched = Vec::new();
         let mut forced = Vec::new();
-        let mut keys: Vec<_> = self.recvs.keys().copied().collect();
-        keys.sort_unstable();
-        for (src, tag) in keys {
-            for done in self.recvs.remove(&(src, tag)).unwrap() {
-                unmatched.push(UnmatchedComm {
-                    rank,
-                    peer: src,
-                    tag,
-                    op: "Irecv",
-                });
-                forced.push((rank, done));
+        for (u, offer) in self.table.drain(rank) {
+            match offer {
+                Parked::Recv(Waiter::Recv(done)) => forced.push((rank, done)),
+                Parked::Send(Envelope {
+                    src,
+                    sender_done: Some(done),
+                    ..
+                }) => forced.push((src, done)),
+                _ => {}
+            }
+            // A collective's round waits and messages are implied by the
+            // collective's own entry below.
+            if u.tag & COLL_TAG_BIT == 0 {
+                unmatched.push(u);
             }
         }
-        let mut keys: Vec<_> = self.unexpected.keys().copied().collect();
-        keys.sort_unstable();
-        for (src, tag) in keys {
-            for env in self.unexpected.remove(&(src, tag)).unwrap() {
-                // Collective round messages are implied by the collective
-                // entries themselves; don't report them separately.
-                if tag & COLL_TAG_BIT == 0 {
-                    unmatched.push(UnmatchedComm {
-                        rank: env.src,
-                        peer: rank,
-                        tag,
-                        op: "Isend",
-                    });
-                }
-                if let Some(done) = env.sender_done {
-                    forced.push((env.src, done));
-                }
-            }
-        }
-        let mut seqs: Vec<_> = self.colls.keys().copied().collect();
-        seqs.sort_unstable();
-        for seq in seqs {
-            let coll = self.colls.remove(&seq).unwrap();
+        for (seq, coll) in self.colls.drain() {
             unmatched.push(UnmatchedComm {
                 rank,
                 peer: NO_PEER,
-                tag: coll.round,
+                tag: seq as u32,
                 op: "Iallreduce",
             });
             forced.push((rank, coll.done));
-        }
-        self.coll_waiting.clear();
-        for (peer, tag, op, done) in self.invalid.drain(..) {
-            unmatched.push(UnmatchedComm {
-                rank,
-                peer,
-                tag,
-                op,
-            });
-            forced.push((rank, done));
         }
         (unmatched, forced)
     }

@@ -11,16 +11,19 @@
 //!
 //! Layout: [`CommWorld`] (engine.rs) owns one endpoint per rank — a
 //! lock-free envelope inbox, a lock-free completion queue back to the
-//! owning pool, and a mutex-guarded mailbox (mailbox.rs) doing
-//! (peer, tag) matching with an unexpected-message queue. `Iallreduce`
-//! runs a dissemination algorithm over the same mailboxes. Unmatchable
-//! programs surface as a structured [`CommError`] (error.rs) shared with
-//! the DES backend, via a timeout-free distributed-termination detector.
+//! owning pool, and a mutex-guarded mailbox (mailbox.rs) holding the
+//! rank's [`MatchTable`] (matching.rs), the clock-free (peer, tag)
+//! matching core the simulator's network drives too. `Iallreduce` runs a
+//! dissemination algorithm over the same mailboxes. Unmatchable programs
+//! surface as a structured [`CommError`] (error.rs) shared with the DES
+//! backend, via a timeout-free distributed-termination detector.
 
 mod engine;
 mod error;
 mod mailbox;
+mod matching;
 
 pub use engine::{CommConfig, CommWorld};
 pub use error::{CommError, UnmatchedComm, NO_PEER};
 pub use mailbox::CommCompletion;
+pub use matching::{is_rendezvous, MatchTable, Parked, EAGER_THRESHOLD};

@@ -152,11 +152,7 @@ fn run_rank<P: RankProgram + Sync + ?Sized>(
     exec.comm_world().note_done(rank);
     let obs = exec.take_obs();
     out.counters = obs.counters;
-    // The tracker already counted every created task (discovery and
-    // re-instanced); absorbing discovery stats would double-count it.
-    let created = out.counters.tasks_created;
     out.counters.absorb_discovery(&out.stats);
-    out.counters.tasks_created = created;
     out.counters.persistent_reuses = persistent_reuses;
     out.events = obs.events;
     if cfg.exec.profile && rank == 0 {
@@ -192,7 +188,10 @@ pub fn run_program<P: RankProgram + Sync + ?Sized>(
         comm_error: world.finish(),
         ..Default::default()
     };
-    for out in outputs {
+    for (rank, mut out) in (0..).zip(outputs) {
+        // `finish` matched what was still in flight; the census is only
+        // complete now.
+        out.counters.unexpected_msgs = world.unexpected_count(rank);
         report.per_rank_stats.push(out.stats);
         report.discovery_ns.push(out.discovery_ns);
         if let Some(g) = out.graph {

@@ -77,9 +77,10 @@ pub struct RtCounters {
 }
 
 impl RtCounters {
-    /// Absorb discovery statistics.
+    /// Absorb discovery statistics: the edge, probe, redirect and
+    /// depend-item counters. `tasks_created` stays the tracker's, which
+    /// counts every created task (discovered and re-instanced).
     pub fn absorb_discovery(&mut self, d: &DiscoveryStats) {
-        self.tasks_created += d.tasks + d.redirect_nodes;
         self.edges_created += d.edges_created;
         self.edges_pruned += d.edges_pruned;
         self.dup_probes += d.dup_probes;
@@ -190,7 +191,7 @@ mod tests {
             dup_probes: 90,
             dup_skipped: 12,
         });
-        assert_eq!(c.tasks_created, 103, "tasks + redirects");
+        assert_eq!(c.tasks_created, 0, "the tracker's to count");
         assert_eq!(c.edges_created, 180);
         assert_eq!(c.dup_skipped, 12);
         assert_eq!(c.pairs().len(), 25, "every field is exported");

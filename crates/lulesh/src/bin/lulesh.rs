@@ -207,11 +207,7 @@ fn main() {
     };
     if let Some(path) = &args.trace {
         let mut obs = exec.take_obs();
-        // the tracker already counted created tasks; only fold the
-        // discovery-side counters in
-        let created = obs.counters.tasks_created;
         obs.counters.absorb_discovery(&stats);
-        obs.counters.tasks_created = created;
         let doc = chrome_trace(&obs.trace, &obs.events, &obs.counters);
         if let Err(e) = std::fs::write(path, doc.render() + "\n") {
             eprintln!("failed to write {}: {e}", path.display());

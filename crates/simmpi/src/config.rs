@@ -1,12 +1,14 @@
 //! Interconnect parameters.
 
+use ptdg_core::comm::{is_rendezvous, EAGER_THRESHOLD};
 use ptdg_simcore::SimTime;
 
 /// Interconnect model parameters.
 ///
 /// Defaults approximate a modern HPC fabric (BXI/InfiniBand class):
 /// ~1.5 µs small-message latency, 12 GB/s effective per-link bandwidth,
-/// 16 KiB eager threshold.
+/// and the eager threshold the Threads engine uses too
+/// ([`EAGER_THRESHOLD`], 16 KiB).
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Messages at or below this size use the eager protocol; above it the
@@ -31,7 +33,7 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            eager_threshold: 16 << 10,
+            eager_threshold: EAGER_THRESHOLD,
             latency: SimTime::from_ns(1_500),
             bw_bytes_per_s: 12e9,
             rendezvous_rtt: SimTime::from_ns(3_000),
@@ -50,7 +52,7 @@ impl NetConfig {
 
     /// Whether a message of `bytes` uses the rendezvous protocol.
     pub fn is_rendezvous(&self, bytes: u64) -> bool {
-        bytes > self.eager_threshold
+        is_rendezvous(bytes, self.eager_threshold)
     }
 
     /// Number of stages of a recursive-doubling collective over `p` ranks.

@@ -23,6 +23,9 @@
 //! The network is a passive state machine driven by the discrete-event
 //! scheduler of `ptdg-simrt`: posting calls return [`Completion`]s that the
 //! caller turns into future events.
+//! (peer, tag) matching, the unexpected-message census and the unmatched
+//! report come from [`ptdg_core::comm::MatchTable`], the clock-free core
+//! the Threads engine drives too; this crate adds only time.
 
 mod collective;
 mod config;

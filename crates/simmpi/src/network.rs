@@ -1,11 +1,15 @@
 //! The message-matching network state machine.
+//!
+//! Matching itself is the clock-free core shared with the Threads
+//! engine ([`MatchTable`], one per destination rank); this module adds
+//! time: eager/rendezvous completion arithmetic and collective rounds.
 
 use crate::collective::CollectiveState;
 use crate::config::NetConfig;
 use crate::request::{ReqId, ReqKind, Request};
 use crate::Rank;
+use ptdg_core::comm::{MatchTable, Parked, UnmatchedComm, NO_PEER};
 use ptdg_simcore::SimTime;
-use std::collections::{HashMap, VecDeque};
 
 /// A determined future completion: the caller (the discrete-event
 /// executor) schedules an event at `at` and then delivers the completion
@@ -18,33 +22,18 @@ pub struct Completion {
     pub at: SimTime,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct PendingSend {
-    req: ReqId,
-    bytes: u64,
-    posted: SimTime,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct PendingRecv {
-    req: ReqId,
-    posted: SimTime,
-}
-
 /// The simulated interconnect: P2P matching plus collective rounds.
 #[derive(Debug)]
 pub struct Network {
     cfg: NetConfig,
     n_ranks: u32,
     requests: Vec<Request>,
-    unmatched_sends: HashMap<(Rank, Rank, u32), VecDeque<PendingSend>>,
-    unmatched_recvs: HashMap<(Rank, Rank, u32), VecDeque<PendingRecv>>,
+    /// Per destination rank: parked send and receive requests keyed by
+    /// (source, tag), that rank's requests naming a rank outside the job
+    /// (they never complete), and its unexpected-message census.
+    tables: Vec<MatchTable<ReqId, ReqId>>,
     round_of_rank: Vec<u32>,
     rounds: Vec<CollectiveState>,
-    /// Per-rank tally of receives that matched an already-parked send —
-    /// the message was "unexpected" at the receiver (it arrived before
-    /// the receive was posted).
-    unexpected: Vec<u64>,
 }
 
 impl Network {
@@ -55,11 +44,9 @@ impl Network {
             cfg,
             n_ranks,
             requests: Vec::new(),
-            unmatched_sends: HashMap::new(),
-            unmatched_recvs: HashMap::new(),
+            tables: (0..n_ranks).map(|_| MatchTable::default()).collect(),
             round_of_rank: vec![0; n_ranks as usize],
             rounds: Vec::new(),
-            unexpected: vec![0; n_ranks as usize],
         }
     }
 
@@ -94,6 +81,29 @@ impl Network {
         out.push(Completion { req, at });
     }
 
+    /// When `req` was fully posted (its post cost paid).
+    fn posted(&self, req: ReqId) -> SimTime {
+        self.requests[req.0 as usize].posted_at + self.cfg.post_cost
+    }
+
+    /// Complete what the match of `send` with `recv` completes.
+    fn complete_match(&mut self, send: ReqId, recv: ReqId, out: &mut Vec<Completion>) {
+        let (sent, posted) = (self.posted(send), self.posted(recv));
+        let bytes = self.requests[send.0 as usize].bytes;
+        let wire = self.cfg.latency + self.cfg.transfer_time(bytes);
+        if self.cfg.is_rendezvous(bytes) {
+            // Rendezvous: handshake once both sides are posted, then
+            // transfer; both sides complete together.
+            let done = sent.max(posted) + self.cfg.rendezvous_rtt + wire;
+            self.finish(send, done, out);
+            self.finish(recv, done, out);
+        } else {
+            // Eager: the data is in flight (or already here) since the
+            // send was posted.
+            self.finish(recv, (sent + wire).max(posted), out);
+        }
+    }
+
     /// Post a non-blocking send from `src` to `dst`.
     pub fn post_isend(
         &mut self,
@@ -105,57 +115,20 @@ impl Network {
     ) -> (ReqId, Vec<Completion>) {
         let req = self.new_request(src, ReqKind::Send, bytes, now);
         let mut out = Vec::new();
-        let now = now + self.cfg.post_cost;
-        let key = (src, dst, tag);
-        let rendezvous = self.cfg.is_rendezvous(bytes);
-        let matched = self
-            .unmatched_recvs
-            .get_mut(&key)
-            .and_then(|q| q.pop_front());
-        match (rendezvous, matched) {
-            (false, matched) => {
-                // Eager: the send buffers locally and completes regardless
-                // of the receiver.
-                let send_done = now + self.cfg.transfer_time(bytes);
-                self.finish(req, send_done, &mut out);
-                let arrival = now + self.cfg.latency + self.cfg.transfer_time(bytes);
-                match matched {
-                    Some(recv) => {
-                        let recv_done = arrival.max(recv.posted);
-                        self.finish(recv.req, recv_done, &mut out);
-                    }
-                    None => {
-                        self.unmatched_sends
-                            .entry(key)
-                            .or_default()
-                            .push_back(PendingSend {
-                                req,
-                                bytes,
-                                posted: now,
-                            });
-                    }
-                }
-            }
-            (true, Some(recv)) => {
-                // Rendezvous with the receive already posted: handshake
-                // then transfer; both sides complete together.
-                let start = now.max(recv.posted) + self.cfg.rendezvous_rtt;
-                let done = start + self.cfg.latency + self.cfg.transfer_time(bytes);
-                self.finish(req, done, &mut out);
-                self.finish(recv.req, done, &mut out);
-            }
-            (true, None) => {
-                // Rendezvous with no receive yet: the send stalls until the
-                // receiver arrives — the cost of late posting.
-                self.unmatched_sends
-                    .entry(key)
-                    .or_default()
-                    .push_back(PendingSend {
-                        req,
-                        bytes,
-                        posted: now,
-                    });
-            }
+        if dst >= self.n_ranks {
+            self.tables[src as usize].park_unmatchable(dst, tag, Parked::Send(req));
+            return (req, out);
+        }
+        if !self.cfg.is_rendezvous(bytes) {
+            // Eager: the send buffers locally and completes regardless
+            // of the receiver.
+            let done = self.posted(req) + self.cfg.transfer_time(bytes);
+            self.finish(req, done, &mut out);
+        }
+        // A rendezvous send with no receive yet stalls until one is
+        // posted — the cost of late posting.
+        if let Some((_, recv)) = self.tables[dst as usize].offer_send(src, tag, req) {
+            self.complete_match(req, recv, &mut out);
         }
         (req, out)
     }
@@ -171,34 +144,10 @@ impl Network {
     ) -> (ReqId, Vec<Completion>) {
         let req = self.new_request(dst, ReqKind::Recv, bytes, now);
         let mut out = Vec::new();
-        let now = now + self.cfg.post_cost;
-        let key = (src, dst, tag);
-        let matched = self
-            .unmatched_sends
-            .get_mut(&key)
-            .and_then(|q| q.pop_front());
-        if matched.is_some() {
-            self.unexpected[dst as usize] += 1;
-        }
-        match matched {
-            Some(send) if self.cfg.is_rendezvous(send.bytes) => {
-                let start = now.max(send.posted) + self.cfg.rendezvous_rtt;
-                let done = start + self.cfg.latency + self.cfg.transfer_time(send.bytes);
-                self.finish(send.req, done, &mut out);
-                self.finish(req, done, &mut out);
-            }
-            Some(send) => {
-                // Eager: data is in flight (or already here) since posting.
-                let arrival = send.posted + self.cfg.latency + self.cfg.transfer_time(send.bytes);
-                let done = arrival.max(now);
-                self.finish(req, done, &mut out);
-            }
-            None => {
-                self.unmatched_recvs
-                    .entry(key)
-                    .or_default()
-                    .push_back(PendingRecv { req, posted: now });
-            }
+        if src >= self.n_ranks {
+            self.tables[dst as usize].park_unmatchable(src, tag, Parked::Recv(req));
+        } else if let Some((send, _)) = self.tables[dst as usize].offer_recv(src, tag, req) {
+            self.complete_match(send, req, &mut out);
         }
         (req, out)
     }
@@ -244,40 +193,39 @@ impl Network {
         self.requests.iter().all(|r| r.completed_at.is_some())
     }
 
-    /// Unexpected-message count observed by `rank` so far.
+    /// Unexpected-message count observed by `rank` so far: sends that
+    /// parked because no receive was waiting for them.
     pub fn unexpected_count(&self, rank: Rank) -> u64 {
-        self.unexpected[rank as usize]
+        self.tables[rank as usize].unexpected()
     }
 
-    /// Everything still parked in the matching state at end of run:
-    /// `(owner, peer, tag, op)` tuples for unmatched sends and receives,
-    /// plus one `(rank, u32::MAX, round, "Iallreduce")` entry per joined
-    /// rank of every collective round still missing participants. A
-    /// parked *eager* send appears here even though its request completed
-    /// — the message was still never received. Sorted for stable
-    /// reporting.
-    pub fn unmatched(&self) -> Vec<(Rank, Rank, u32, &'static str)> {
-        let mut out: Vec<(Rank, Rank, u32, &'static str)> = Vec::new();
-        for (&(src, dst, tag), q) in &self.unmatched_sends {
-            for _ in q {
-                out.push((src, dst, tag, "Isend"));
-            }
-        }
-        for (&(src, dst, tag), q) in &self.unmatched_recvs {
-            for _ in q {
-                out.push((dst, src, tag, "Irecv"));
-            }
+    /// Empty the matching state at the end of a run and name everything
+    /// still in it: unmatched sends (owned by the sender) and receives,
+    /// requests naming an out-of-range peer, and one `Iallreduce` entry
+    /// (tag = the collective's index in posting order) per joined rank of
+    /// every collective still missing participants. A parked *eager*
+    /// send appears here even though its request completed — the message
+    /// was still never received. Unsorted;
+    /// [`ptdg_core::comm::CommError::from_unmatched`] orders it.
+    pub fn unmatched(&mut self) -> Vec<UnmatchedComm> {
+        let mut out = Vec::new();
+        for (rank, table) in (0..).zip(&mut self.tables) {
+            out.extend(table.drain(rank).into_iter().map(|(u, _)| u));
         }
         for (round, coll) in self.rounds.iter().enumerate() {
             if coll.n_joined > 0 && (coll.n_joined as usize) < coll.joined.len() {
                 for (rank, slot) in coll.joined.iter().enumerate() {
                     if slot.is_some() {
-                        out.push((rank as Rank, u32::MAX, round as u32, "Iallreduce"));
+                        out.push(UnmatchedComm {
+                            rank: rank as Rank,
+                            peer: NO_PEER,
+                            tag: round as u32,
+                            op: "Iallreduce",
+                        });
                     }
                 }
             }
         }
-        out.sort_unstable();
         out
     }
 

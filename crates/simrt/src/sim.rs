@@ -22,7 +22,7 @@ use crate::machine::MachineConfig;
 use crate::program::RankProgram;
 use crate::report::{RankReport, SimReport};
 use ptdg_core::builder::RecordingSubmitter;
-use ptdg_core::comm::{CommError, UnmatchedComm};
+use ptdg_core::comm::CommError;
 use ptdg_core::graph::{DiscoveryEngine, DiscoveryStats};
 use ptdg_core::handle::HandleSpace;
 use ptdg_core::obs::{EventRecorder, EVENT_RING_CAPACITY};
@@ -868,8 +868,6 @@ impl<'p> TaskSim<'p> {
             let obs = st.probe.finish(false, self.machine.n_cores, disc_ns);
             let mut counters = obs.counters;
             counters.absorb_discovery(&st.engine.stats());
-            // The tracker counted every creation (discovery + re-instance);
-            // the discovery absorption above would under-count persistence.
             counters.tasks_created = st.tracker.created_total() as u64;
             counters.tasks_completed = counters.tasks_created - st.tracker.live() as u64;
             counters.ready_hwm = st.tracker.ready_hwm() as u64;
@@ -927,19 +925,7 @@ impl<'p> TaskSim<'p> {
                 });
             }
         }
-        if !unmatched.is_empty() {
-            report.comm_error = Some(CommError {
-                unmatched: unmatched
-                    .into_iter()
-                    .map(|(rank, peer, tag, op)| UnmatchedComm {
-                        rank,
-                        peer,
-                        tag,
-                        op,
-                    })
-                    .collect(),
-            });
-        }
+        report.comm_error = CommError::from_unmatched(unmatched);
         report
     }
 }

@@ -559,3 +559,181 @@ proptest! {
         assert_submission_paths_equivalent(tasks, 2, OptConfig::all(), true);
     }
 }
+
+// ---- malformed comm programs ---------------------------------------------
+
+/// A lopsided comm program: each rank runs one local task, then posts its
+/// scripted requests one after another (each request's task depends on
+/// the previous one, so a request posts only once the one before it has
+/// completed). Scripts can leave requests unmatched on purpose; both
+/// back-ends must then name the same leftovers in the same structured
+/// error.
+struct Scripted {
+    space: HandleSpace,
+    scripts: Vec<Vec<ptdg::core::workdesc::CommOp>>,
+    chain: Vec<ptdg::core::handle::DataHandle>,
+    work: Vec<ptdg::core::handle::DataHandle>,
+}
+
+impl Scripted {
+    fn new(scripts: Vec<Vec<ptdg::core::workdesc::CommOp>>) -> Scripted {
+        let mut space = HandleSpace::new();
+        let n = scripts.len();
+        Scripted {
+            chain: (0..n).map(|_| space.region("chain", 64)).collect(),
+            work: (0..n).map(|_| space.region("work", 64)).collect(),
+            space,
+            scripts,
+        }
+    }
+}
+
+impl RankProgram for Scripted {
+    fn n_ranks(&self) -> Rank {
+        self.scripts.len() as Rank
+    }
+    fn n_iterations(&self) -> u64 {
+        1
+    }
+    fn build_iteration(
+        &self,
+        rank: Rank,
+        _iter: u64,
+        sub: &mut dyn ptdg::core::builder::TaskSubmitter,
+    ) {
+        let r = rank as usize;
+        sub.submit(TaskSpec::new("work").depend(self.work[r], AccessMode::InOut));
+        for &op in &self.scripts[r] {
+            sub.submit(
+                TaskSpec::new("comm")
+                    .depend(self.chain[r], AccessMode::InOut)
+                    .comm(op),
+            );
+        }
+    }
+}
+
+/// Run `scripts` on both back-ends; assert one shared `CommError` (which
+/// must exist) and, for p2p-only scripts, that both back-ends count
+/// `census` as the per-rank `unexpected_msgs`. Returns the error for
+/// case-specific checks.
+fn assert_same_comm_error(
+    scripts: Vec<Vec<ptdg::core::workdesc::CommOp>>,
+    census: Option<&[u64]>,
+) -> ptdg::core::comm::CommError {
+    let prog = Scripted::new(scripts);
+    let n_ranks = prog.n_ranks();
+    let t = run(
+        &prog.space,
+        &prog,
+        Backend::Threads(ThreadsConfig {
+            exec: ExecConfig {
+                n_workers: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        }),
+    );
+    let s = run(
+        &prog.space,
+        &prog,
+        sim_backend(OptConfig::all(), false, n_ranks),
+    );
+    let te = t
+        .comm_error()
+        .expect("threads reports the malformed program");
+    let se = s.comm_error().expect("sim reports the malformed program");
+    assert_eq!(te, se, "both back-ends name the same leftovers");
+    if let Some(census) = census {
+        for (label, o) in [("threads", &t), ("sim", &s)] {
+            let got: Vec<u64> = o
+                .per_rank_counters()
+                .iter()
+                .map(|c| c.unexpected_msgs)
+                .collect();
+            assert_eq!(got, census, "{label}: per-rank unexpected_msgs");
+        }
+    }
+    te.clone()
+}
+
+fn isend(peer: u32, bytes: u64, tag: u32) -> ptdg::core::workdesc::CommOp {
+    ptdg::core::workdesc::CommOp::Isend { peer, bytes, tag }
+}
+
+fn irecv(peer: u32, tag: u32) -> ptdg::core::workdesc::CommOp {
+    ptdg::core::workdesc::CommOp::Irecv {
+        peer,
+        bytes: 64,
+        tag,
+    }
+}
+
+fn triples(e: &ptdg::core::comm::CommError) -> Vec<(u32, u32, u32, &'static str)> {
+    e.unmatched
+        .iter()
+        .map(|u| (u.rank, u.peer, u.tag, u.op))
+        .collect()
+}
+
+#[test]
+fn orphan_irecv_is_the_same_error_on_both_backends() {
+    let e = assert_same_comm_error(vec![vec![irecv(1, 9)], vec![]], Some(&[0, 0]));
+    assert_eq!(triples(&e), vec![(0, 1, 9, "Irecv")]);
+}
+
+#[test]
+fn orphan_eager_isend_is_the_same_error_and_census_on_both_backends() {
+    let e = assert_same_comm_error(vec![vec![isend(1, 64, 4)], vec![]], Some(&[0, 1]));
+    assert_eq!(triples(&e), vec![(0, 1, 4, "Isend")]);
+}
+
+#[test]
+fn orphan_rendezvous_isend_is_the_same_error_and_census_on_both_backends() {
+    let e = assert_same_comm_error(vec![vec![isend(1, 40_000, 4)], vec![]], Some(&[0, 1]));
+    assert_eq!(triples(&e), vec![(0, 1, 4, "Isend")]);
+}
+
+#[test]
+fn orphan_self_send_is_the_same_error_and_census_on_both_backends() {
+    let e = assert_same_comm_error(vec![vec![isend(0, 64, 3)], vec![]], Some(&[1, 0]));
+    assert_eq!(triples(&e), vec![(0, 0, 3, "Isend")]);
+}
+
+#[test]
+fn out_of_range_peer_is_the_same_error_on_both_backends() {
+    let e = assert_same_comm_error(vec![vec![isend(7, 64, 1)], vec![]], Some(&[0, 0]));
+    assert_eq!(triples(&e), vec![(0, 7, 1, "Isend")]);
+    let e = assert_same_comm_error(vec![vec![], vec![irecv(7, 2)]], Some(&[0, 0]));
+    assert_eq!(triples(&e), vec![(1, 7, 2, "Irecv")]);
+}
+
+#[test]
+fn surplus_send_on_one_key_is_the_same_error_and_census_on_both_backends() {
+    // On one rank, so program order alone puts both (eager) sends before
+    // the receive on both back-ends: both park unexpected, the receive
+    // takes the older one and the other is left. Across ranks, which
+    // sends arrive before the receive posts would be a race on threads.
+    let e = assert_same_comm_error(
+        vec![vec![isend(0, 64, 2), isend(0, 64, 2), irecv(0, 2)]],
+        Some(&[2]),
+    );
+    assert_eq!(triples(&e), vec![(0, 0, 2, "Isend")]);
+}
+
+#[test]
+fn allreduce_one_rank_never_joins_is_the_same_error_on_both_backends() {
+    let allreduce = ptdg::core::workdesc::CommOp::Iallreduce { bytes: 8 };
+    let e = assert_same_comm_error(
+        vec![vec![allreduce], vec![allreduce], vec![allreduce], vec![]],
+        None,
+    );
+    // The tag of a collective entry is its index in the rank's posting
+    // order: every rank stuck in its first `Iallreduce` reports 0.
+    assert_eq!(
+        triples(&e),
+        (0..3)
+            .map(|r| (r, ptdg::core::comm::NO_PEER, 0, "Iallreduce"))
+            .collect::<Vec<_>>()
+    );
+}
