@@ -20,4 +20,4 @@ pub mod tiles;
 
 pub use config::CholeskyConfig;
 pub use program::CholeskyTask;
-pub use tiles::TileMatrix;
+pub use tiles::{TileFields, TileMatrix};

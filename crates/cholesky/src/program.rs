@@ -78,8 +78,9 @@ impl RankProgram for CholeskyTask {
         let tile_bytes = (cfg.b * cfg.b * 8) as u64;
         let want = sub.wants_bodies() && self.matrix.is_some();
         let multi = cfg.n_ranks > 1;
-        // One recycled construction buffer for the whole factorization.
-        let mut buf = SpecBuf::new();
+        // One recycled construction buffer for the whole factorization;
+        // it drops footprints for a sink that reads no cost model.
+        let mut buf = SpecBuf::for_sink(sub);
 
         // Re-initialize every local tile (WAR edges order these after the
         // previous factorization's consumers).
@@ -191,6 +192,19 @@ impl RankProgram for CholeskyTask {
 mod tests {
     use super::*;
     use ptdg_core::builder::{CountingSubmitter, RecordingSubmitter};
+
+    #[test]
+    fn each_body_holds_one_matrix_reference() {
+        let cfg = CholeskyConfig::single(4, 4, 1);
+        let prog = CholeskyTask::with_matrix(cfg.clone(), 5);
+        let m = prog.matrix.as_ref().unwrap();
+        let before = std::sync::Arc::strong_count(&m.0);
+        let mut rec = RecordingSubmitter::default();
+        prog.build_iteration(0, 0, &mut rec);
+        let bodies = rec.specs.iter().filter(|s| s.body.is_some()).count();
+        assert_eq!(bodies, cfg.n_tiles() + cfg.kernel_tasks());
+        assert_eq!(std::sync::Arc::strong_count(&m.0) - before, bodies);
+    }
 
     #[test]
     fn single_rank_task_count() {

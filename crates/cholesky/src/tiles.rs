@@ -5,11 +5,20 @@
 
 use ptdg_core::data::SharedVec;
 use ptdg_simcore::SplitRng;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// The lower-triangular tiles of an SPD matrix, plus a pristine copy used
 /// to re-initialize between repeated factorizations.
+///
+/// A handle to one shared [`TileFields`]: cloning it (one per task body)
+/// bumps a single reference count instead of copying the pristine tiles,
+/// and field reads go through [`Deref`].
 #[derive(Clone)]
-pub struct TileMatrix {
+pub struct TileMatrix(pub(crate) Arc<TileFields>);
+
+/// The tiles behind a [`TileMatrix`].
+pub struct TileFields {
     /// Tiles per edge.
     pub nt: usize,
     /// Tile edge.
@@ -19,6 +28,14 @@ pub struct TileMatrix {
     pub tiles: Vec<SharedVec<f64>>,
     /// The original matrix content (for resets and verification).
     pub original: Vec<Vec<f64>>,
+}
+
+impl Deref for TileMatrix {
+    type Target = TileFields;
+
+    fn deref(&self) -> &TileFields {
+        &self.0
+    }
 }
 
 impl TileMatrix {
@@ -61,12 +78,12 @@ impl TileMatrix {
                 tiles.push(SharedVec::from_vec(tile));
             }
         }
-        TileMatrix {
+        TileMatrix(Arc::new(TileFields {
             nt,
             b,
             tiles,
             original,
-        }
+        }))
     }
 
     /// Reset one tile to its original content.

@@ -35,6 +35,17 @@ pub trait TaskSubmitter {
     fn wants_bodies(&self) -> bool {
         true
     }
+
+    /// Whether cost-model data is read: the footprint slices of
+    /// [`SpecView::footprint`]. The thread executor's
+    /// [`crate::exec::Session`] returns `false` — wall-clock execution
+    /// runs bodies and never models memory — so applications can skip
+    /// building footprints (a [`SpecBuf::for_sink`] then ignores
+    /// [`SpecBuf::touch`]). The default `true` suits the simulator and
+    /// every recording or forwarding sink.
+    fn wants_work(&self) -> bool {
+        true
+    }
 }
 
 /// An application kernel that can generate its task graph iteration by
@@ -59,7 +70,9 @@ pub trait IterationBuilder {
 /// [`SpecBuf::begin`] (clears the depend list and footprint, keeping
 /// their capacity), chains builder calls, then [`SpecBuf::submit`]s the
 /// borrowed [`SpecView`]. After the first few tasks warm the two buffers
-/// up to the stream's widest depend list, no submission allocates.
+/// up to the stream's widest depend list, no submission allocates. A
+/// buffer made by [`SpecBuf::for_sink`] for a sink that reads no cost
+/// model records no footprint at all.
 ///
 /// ```
 /// use ptdg_core::builder::{CountingSubmitter, SpecBuf};
@@ -77,7 +90,6 @@ pub trait IterationBuilder {
 /// }
 /// assert_eq!(sub.tasks, 3);
 /// ```
-#[derive(Default)]
 pub struct SpecBuf {
     name: &'static str,
     depends: Vec<Depend>,
@@ -86,6 +98,8 @@ pub struct SpecBuf {
     comm: Option<CommOp>,
     body: Option<TaskBody>,
     fp_bytes: u32,
+    /// [`SpecBuf::touch`] records footprint slices.
+    keep_work: bool,
 }
 
 impl SpecBuf {
@@ -93,9 +107,30 @@ impl SpecBuf {
     pub fn new() -> Self {
         SpecBuf {
             name: "",
+            depends: Vec::new(),
+            flops: 0.0,
+            footprint: Vec::new(),
+            comm: None,
+            body: None,
             fp_bytes: 16,
-            ..SpecBuf::default()
+            keep_work: true,
         }
+    }
+
+    /// An empty buffer for `sub`: when the sink reads no cost model
+    /// ([`TaskSubmitter::wants_work`] is `false`), [`SpecBuf::touch`] is
+    /// a no-op and every submitted footprint is empty.
+    pub fn for_sink(sub: &dyn TaskSubmitter) -> Self {
+        SpecBuf {
+            keep_work: sub.wants_work(),
+            ..SpecBuf::new()
+        }
+    }
+
+    /// Whether [`SpecBuf::touch`] records slices — callers that compute
+    /// footprints in loops can skip the loop when it does not.
+    pub fn keeps_work(&self) -> bool {
+        self.keep_work
     }
 
     /// Pre-size for tasks with up to `deps` depend items.
@@ -142,9 +177,12 @@ impl SpecBuf {
         self
     }
 
-    /// Add one cost-model footprint slice.
+    /// Add one cost-model footprint slice (ignored by a buffer whose sink
+    /// reads no cost model, see [`SpecBuf::for_sink`]).
     pub fn touch(&mut self, slice: HandleSlice) -> &mut Self {
-        self.footprint.push(slice);
+        if self.keep_work {
+            self.footprint.push(slice);
+        }
         self
     }
 
@@ -189,6 +227,12 @@ impl SpecBuf {
     /// Submit the described task.
     pub fn submit(&mut self, sub: &mut dyn TaskSubmitter) -> TaskId {
         sub.submit_view(&self.view())
+    }
+}
+
+impl Default for SpecBuf {
+    fn default() -> Self {
+        SpecBuf::new()
     }
 }
 
@@ -291,6 +335,47 @@ mod tests {
         assert!(got.comm.is_some());
         assert!(got.body.is_some());
         assert_eq!(got.fp_bytes, 40);
+    }
+
+    /// Records each submission's footprint length and reads no cost model.
+    struct NoWork(Vec<usize>);
+
+    impl TaskSubmitter for NoWork {
+        fn submit_view(&mut self, view: &SpecView<'_>) -> TaskId {
+            self.0.push(view.footprint.len());
+            TaskId::from_index(self.0.len() - 1)
+        }
+
+        fn wants_work(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn spec_buf_for_sink_follows_wants_work() {
+        let mut s = HandleSpace::new();
+        let x = s.region("x", 8);
+        let mut r = RecordingSubmitter::default();
+        assert!(r.wants_work(), "the default keeps today's footprints");
+        let mut buf = SpecBuf::for_sink(&r);
+        assert!(buf.keeps_work());
+        buf.begin("k")
+            .touch(HandleSlice::whole(x, 8))
+            .submit(&mut r);
+        assert_eq!(r.specs[0].work.footprint.len(), 1);
+
+        let mut n = NoWork(Vec::new());
+        let mut buf = SpecBuf::for_sink(&n);
+        assert!(!buf.keeps_work());
+        for _ in 0..2 {
+            buf.begin("k")
+                .dep(x, AccessMode::InOut)
+                .touch(HandleSlice::whole(x, 8))
+                .submit(&mut n);
+        }
+        assert_eq!(n.0, vec![0, 0]);
+        assert_eq!(buf.footprint.capacity(), 0, "never grows a footprint");
+        assert!(SpecBuf::default().keeps_work());
     }
 
     #[test]

@@ -29,7 +29,11 @@ pub struct UnmatchedComm {
 impl fmt::Display for UnmatchedComm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.peer == NO_PEER {
-            write!(f, "rank {} {} (round {})", self.rank, self.op, self.tag)
+            write!(
+                f,
+                "rank {} {} (collective {})",
+                self.rank, self.op, self.tag
+            )
         } else {
             write!(
                 f,
@@ -105,7 +109,7 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("rank 0 Irecv peer 1 tag 7"), "{s}");
-        assert!(s.contains("rank 2 Iallreduce (round 1)"), "{s}");
+        assert!(s.contains("rank 2 Iallreduce (collective 1)"), "{s}");
         assert!(s.starts_with("unmatched communication requests (2)"), "{s}");
     }
 }

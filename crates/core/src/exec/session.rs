@@ -7,6 +7,7 @@ use crate::opts::OptConfig;
 use crate::profile::{Span, SpanKind};
 use crate::rt::{GraphInstance, InstanceOptions, NodeRef, RtProbe};
 use crate::task::{SpecView, TaskId, TaskSpec};
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,7 +23,10 @@ use std::time::Instant;
 /// [`Session::submit_view`] is the native, allocation-free submission
 /// path; [`Session::submit`] wraps an owned [`TaskSpec`] around it. After
 /// [`Session::reserve`], a steady-state submission performs zero heap
-/// allocations end to end (DESIGN.md §4.4).
+/// allocations end to end (DESIGN.md §4.4). When the executor records
+/// nothing, a submission reads no clock either: the discovery window
+/// opens at the first submission and closes when the stream is next
+/// queried or waited on (see [`Session::discovery_ns`]).
 pub struct Session<'e> {
     exec: &'e Executor,
     engine: DiscoveryEngine,
@@ -31,7 +35,12 @@ pub struct Session<'e> {
     /// and never regrows past its high-water mark.
     ready_buf: Vec<NodeRef>,
     discovery_t0_ns: Option<u64>,
-    discovery_t1_ns: u64,
+    /// End of the discovery window. Stamped after every submission when
+    /// the executor records; otherwise read lazily by
+    /// [`Session::close_window`], hence the `Cell`s.
+    discovery_t1_ns: Cell<u64>,
+    /// A non-recording submission ran since the window was last closed.
+    window_open: Cell<bool>,
     iter: u64,
 }
 
@@ -62,7 +71,8 @@ impl<'e> Session<'e> {
             instance,
             ready_buf: Vec::new(),
             discovery_t0_ns: None,
-            discovery_t1_ns: 0,
+            discovery_t1_ns: Cell::new(0),
+            window_open: Cell::new(false),
             iter: 0,
         }
     }
@@ -87,21 +97,35 @@ impl<'e> Session<'e> {
         // for `'e` beside the `&mut self` field borrows below and costs
         // no atomic RMW per task.
         let pool = self.exec.pool();
-        let now = pool.now_ns();
-        self.discovery_t0_ns.get_or_insert(now);
-        self.instance.set_now_ns(now);
-        let id = self.engine.submit_view(&mut self.instance, view);
-        self.discovery_t1_ns = pool.now_ns();
-        if pool.profile {
-            pool.recorder.span(Span {
-                worker: self.exec.n_workers() as u32,
-                start_ns: now,
-                end_ns: self.discovery_t1_ns,
-                kind: SpanKind::Discovery,
-                name: "<discovery>",
-                iter: self.iter,
-            });
-        }
+        let id = if pool.record {
+            // Lifecycle events and the Discovery span need this task's
+            // own timestamps.
+            let now = pool.now_ns();
+            self.discovery_t0_ns.get_or_insert(now);
+            self.instance.set_now_ns(now);
+            let id = self.engine.submit_view(&mut self.instance, view);
+            let end = pool.now_ns();
+            self.discovery_t1_ns.set(end);
+            if pool.profile {
+                pool.recorder.span(Span {
+                    worker: self.exec.n_workers() as u32,
+                    start_ns: now,
+                    end_ns: end,
+                    kind: SpanKind::Discovery,
+                    name: "<discovery>",
+                    iter: self.iter,
+                });
+            }
+            id
+        } else {
+            // Nothing records: one clock read opens the window, and
+            // `close_window` reads its end once, when it is asked for.
+            if self.discovery_t0_ns.is_none() {
+                self.discovery_t0_ns = Some(pool.now_ns());
+            }
+            self.window_open.set(true);
+            self.engine.submit_view(&mut self.instance, view)
+        };
         self.instance.drain_ready_into(&mut self.ready_buf);
         for node in self.ready_buf.drain(..) {
             pool.make_ready(node, None);
@@ -139,6 +163,7 @@ impl<'e> Session<'e> {
     /// submission point (used by codes that fence their communication
     /// sequences, §4.1 of the paper).
     pub fn taskwait(&mut self) {
+        self.close_window();
         let pool = self.exec.pool();
         pool.release_gate();
         pool.barrier();
@@ -149,11 +174,24 @@ impl<'e> Session<'e> {
         self.engine.stats()
     }
 
-    /// Producer-side discovery span (first to last submission), ns.
+    /// Producer-side discovery window, ns: from the first submission to
+    /// the end of the last one when the executor records, else to the
+    /// first query or wait (this call, [`Session::taskwait`],
+    /// [`Session::wait_all`] or [`Session::finish_capture`]) after the
+    /// last one.
     pub fn discovery_ns(&self) -> u64 {
+        self.close_window();
         match self.discovery_t0_ns {
-            Some(t0) => self.discovery_t1_ns.saturating_sub(t0),
+            Some(t0) => self.discovery_t1_ns.get().saturating_sub(t0),
             None => 0,
+        }
+    }
+
+    /// End a non-recording stream's discovery window now, if submissions
+    /// ran since it was last ended.
+    fn close_window(&self) {
+        if self.window_open.replace(false) {
+            self.discovery_t1_ns.set(self.exec.pool().now_ns());
         }
     }
 
@@ -184,6 +222,11 @@ impl TaskSubmitter for Session<'_> {
 
     fn submit(&mut self, spec: TaskSpec) -> TaskId {
         Session::submit(self, spec)
+    }
+
+    /// Wall-clock execution reads no cost model.
+    fn wants_work(&self) -> bool {
+        false
     }
 }
 

@@ -689,3 +689,37 @@ fn deep_redirect_chain_does_not_overflow_stack() {
     pool.barrier();
     assert_eq!(ran.load(Ordering::SeqCst), 1, "tail task ran exactly once");
 }
+
+#[test]
+fn unrecorded_discovery_window_spans_the_stream() {
+    let mut space = HandleSpace::new();
+    let x = space.region("x", 8);
+    let e = exec(1);
+    let mut s = e.session(OptConfig::all());
+    assert_eq!(s.discovery_ns(), 0, "no submission, no window");
+    let t0 = std::time::Instant::now();
+    for _ in 0..64 {
+        s.submit(TaskSpec::new("t").depend(x, AccessMode::InOut));
+    }
+    // The window ends at this query, inside the stream's wall time.
+    let d = s.discovery_ns();
+    let wall = t0.elapsed().as_nanos() as u64;
+    assert!(d > 0, "64 submissions take time");
+    assert!(d <= wall, "window {d} ns exceeds the stream's {wall} ns");
+    // A closed window stays put until more tasks arrive.
+    assert_eq!(s.discovery_ns(), d);
+    s.submit(TaskSpec::new("t").depend(x, AccessMode::InOut));
+    s.wait_all();
+    let total = t0.elapsed().as_nanos() as u64;
+    let after = s.discovery_ns();
+    assert!(after >= d && after <= total);
+}
+
+#[test]
+fn sessions_read_no_cost_model() {
+    use crate::builder::TaskSubmitter;
+    let e = exec(1);
+    let s = e.session(OptConfig::all());
+    assert!(!s.wants_work());
+    assert!(s.wants_bodies());
+}

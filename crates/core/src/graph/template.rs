@@ -20,7 +20,8 @@ pub struct TemplateNode {
     pub body: Option<TaskBody>,
     /// Communication side effect.
     pub comm: Option<CommOp>,
-    /// Cost-model description.
+    /// Cost-model description (flops only, empty footprint, when the
+    /// recorder was built by [`TemplateRecorder::without_footprints`]).
     pub work: WorkDesc,
     /// Firstprivate payload size (the per-iteration memcpy).
     pub fp_bytes: u32,
@@ -43,6 +44,7 @@ pub struct TemplateRecorder {
     nodes: Vec<TemplateNode>,
     edges: Vec<(u32, u32)>,
     want_bodies: bool,
+    keep_footprints: bool,
 }
 
 impl TemplateRecorder {
@@ -53,6 +55,17 @@ impl TemplateRecorder {
             nodes: Vec::new(),
             edges: Vec::new(),
             want_bodies,
+            keep_footprints: true,
+        }
+    }
+
+    /// A recorder whose nodes keep no footprint slices: the mirror of a
+    /// capture no cost model will read (the thread executor's), which
+    /// then copies nothing per task beyond the node itself.
+    pub fn without_footprints(want_bodies: bool) -> Self {
+        TemplateRecorder {
+            keep_footprints: false,
+            ..TemplateRecorder::new(want_bodies)
         }
     }
 
@@ -65,8 +78,9 @@ impl TemplateRecorder {
 impl GraphSink for TemplateRecorder {
     fn add_task(&mut self, spec: &SpecView<'_>) -> TaskId {
         let id = TaskId::from_index(self.nodes.len());
-        // Capture owns its data: clone out of the view (this allocation
-        // is capture-only — the streaming hot path never records).
+        // Capture owns its data: clone out of the view (the footprint
+        // copy is the one per-task allocation, and only a recorder that
+        // keeps footprints makes it).
         self.nodes.push(TemplateNode {
             name: spec.name,
             body: if self.want_bodies {
@@ -77,7 +91,11 @@ impl GraphSink for TemplateRecorder {
             comm: spec.comm,
             work: WorkDesc {
                 flops: spec.flops,
-                footprint: spec.footprint.to_vec(),
+                footprint: if self.keep_footprints {
+                    spec.footprint.to_vec()
+                } else {
+                    Vec::new()
+                },
             },
             fp_bytes: spec.fp_bytes,
             is_redirect: false,
@@ -408,6 +426,26 @@ mod tests {
         rec.add_redirect();
         let t = rec.finish();
         assert_eq!(t.firstprivate_bytes(), 108);
+    }
+
+    #[test]
+    fn footprints_dropped_only_by_a_footprint_free_recorder() {
+        use crate::graph::GraphSink;
+        let mut s = HandleSpace::new();
+        let x = s.region("x", 64);
+        let spec = TaskSpec::new("a").work(
+            crate::workdesc::WorkDesc::compute(5.0)
+                .touching(crate::workdesc::HandleSlice::whole(x, 64)),
+        );
+        let mut rec = TemplateRecorder::new(false);
+        rec.add_task(&spec.view());
+        let kept = rec.finish();
+        assert_eq!(kept.node(TaskId(0)).work.footprint.len(), 1);
+        let mut rec = TemplateRecorder::without_footprints(false);
+        rec.add_task(&spec.view());
+        let bare = rec.finish();
+        assert!(bare.node(TaskId(0)).work.footprint.is_empty());
+        assert_eq!(bare.node(TaskId(0)).work.flops, 5.0, "flops are kept");
     }
 
     #[test]

@@ -27,7 +27,8 @@ pub struct InstanceOptions {
     /// back-ends — discovery then skips closure allocation entirely.
     pub want_bodies: bool,
     /// Retain [`crate::WorkDesc`]s on nodes (cost models need them; the
-    /// wall-clock executor does not).
+    /// wall-clock executor does not). `false` also keeps footprints out
+    /// of the capture mirror.
     pub keep_work: bool,
     /// Mirror discovery into a [`TemplateRecorder`] for persistent
     /// re-instancing. Capture disables pruning *reporting*: the recorder
@@ -70,9 +71,13 @@ impl GraphInstance {
             nodes: Vec::new(),
             newly_ready: Vec::new(),
             tracker,
-            capture: opts
-                .capture
-                .then(|| TemplateRecorder::new(opts.want_bodies)),
+            capture: opts.capture.then(|| {
+                if opts.keep_work {
+                    TemplateRecorder::new(opts.want_bodies)
+                } else {
+                    TemplateRecorder::without_footprints(opts.want_bodies)
+                }
+            }),
             opts,
             iter: 0,
             probe: Arc::new(NullProbe),

@@ -29,14 +29,14 @@ impl ReadyTracker {
     pub fn created(&self, n: usize) {
         self.created_total.fetch_add(n, Ordering::Relaxed);
         let live = self.live.fetch_add(n, Ordering::Relaxed) + n;
-        self.live_hwm.fetch_max(live, Ordering::Relaxed);
+        raise_mark(&self.live_hwm, live);
     }
 
     /// A task became ready. (Relaxed: `ready` only steers throttling
     /// heuristics and statistics, never a safety decision.)
     pub fn became_ready(&self) {
         let ready = self.ready.fetch_add(1, Ordering::Relaxed) + 1;
-        self.ready_hwm.fetch_max(ready, Ordering::Relaxed);
+        raise_mark(&self.ready_hwm, ready);
     }
 
     /// A ready task was handed to a core.
@@ -89,6 +89,16 @@ impl ReadyTracker {
     }
 }
 
+/// Raise the high-water mark `hwm` to `value`, paying the RMW only when
+/// the mark would move. Exact: the mark only grows, so a load that
+/// already reads `value` or more means it covers `value`; otherwise
+/// `fetch_max` settles races between concurrent raisers.
+fn raise_mark(hwm: &AtomicUsize, value: usize) {
+    if hwm.load(Ordering::Relaxed) < value {
+        hwm.fetch_max(value, Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,5 +118,34 @@ mod tests {
         t.scheduled();
         assert!(t.completed());
         assert!(t.quiescent());
+        assert_eq!(t.live_hwm(), 3);
+        assert_eq!(t.ready_hwm(), 2);
+        // Below the marks, nothing moves them; past them, they follow.
+        t.created(2);
+        t.became_ready();
+        assert_eq!((t.live_hwm(), t.ready_hwm()), (3, 2));
+        t.created(2);
+        t.became_ready();
+        t.became_ready();
+        assert_eq!((t.live_hwm(), t.ready_hwm()), (4, 3));
+        assert_eq!(t.created_total(), 7);
+    }
+
+    #[test]
+    fn marks_are_exact_under_concurrent_raisers() {
+        let t = ReadyTracker::new();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        t.created(1);
+                        t.became_ready();
+                    }
+                });
+            }
+        });
+        // Nothing completed: every creation raised the live count.
+        assert_eq!(t.live_hwm(), 2000);
+        assert_eq!(t.ready_hwm(), 2000);
     }
 }

@@ -27,5 +27,5 @@ pub mod task_program;
 pub use bsp_program::HpcgBsp;
 pub use config::HpcgConfig;
 pub use handles::HpcgHandles;
-pub use state::HpcgState;
+pub use state::{HpcgFields, HpcgState};
 pub use task_program::HpcgTask;

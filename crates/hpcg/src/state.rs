@@ -8,11 +8,18 @@
 
 use crate::config::HpcgConfig;
 use ptdg_core::data::SharedVec;
-use std::ops::Range;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// Solver state of one rank.
+///
+/// A handle to one shared [`HpcgFields`]: cloning it (one per task body)
+/// bumps a single reference count, and field reads go through [`Deref`].
 #[derive(Clone)]
-pub struct HpcgState {
+pub struct HpcgState(pub(crate) Arc<HpcgFields>);
+
+/// The vectors and scalars behind an [`HpcgState`].
+pub struct HpcgFields {
     /// Grid points per edge.
     pub nx: usize,
     /// Solution vector.
@@ -33,7 +40,7 @@ pub struct HpcgState {
     pub scalars: SharedVec<f64>,
 }
 
-/// Indices into [`HpcgState::scalars`].
+/// Indices into [`HpcgFields::scalars`].
 pub const S_RR: usize = 0;
 /// alpha.
 pub const S_ALPHA: usize = 1;
@@ -42,12 +49,20 @@ pub const S_BETA: usize = 2;
 /// p·Ap.
 pub const S_PAP: usize = 3;
 
+impl Deref for HpcgState {
+    type Target = HpcgFields;
+
+    fn deref(&self) -> &HpcgFields {
+        &self.0
+    }
+}
+
 impl HpcgState {
     /// Build the `b = A·1` problem with `x₀ = 0`.
     pub fn new(cfg: &HpcgConfig) -> HpcgState {
         let n = cfg.n_rows();
         let blocks = cfg.blocks();
-        let st = HpcgState {
+        let st = HpcgState(Arc::new(HpcgFields {
             nx: cfg.nx,
             x: SharedVec::new(n, 0.0),
             r: SharedVec::new(n, 0.0),
@@ -57,7 +72,7 @@ impl HpcgState {
             pap_scratch: SharedVec::new(blocks, 0.0),
             rr_scratch: SharedVec::new(blocks, 0.0),
             scalars: SharedVec::new(4, 0.0),
-        };
+        }));
         // b = A·ones — computed via the SpMV kernel itself.
         for i in 0..n {
             st.p.set(i, 1.0);

@@ -92,8 +92,9 @@ impl RankProgram for HpcgTask {
         let multi = cfg.n_ranks() > 1;
         let whole = |hd| HandleSlice::whole(hd, space.info(hd).bytes);
         // One recycled construction buffer for the whole iteration: after
-        // the widest task warms it up, submissions build no Vecs.
-        let mut buf = SpecBuf::new();
+        // the widest task warms it up, submissions build no Vecs. It
+        // drops footprints for a sink that reads no cost model.
+        let mut buf = SpecBuf::for_sink(sub);
 
         // Halo exchange of p with the 6 face neighbors, before the SpMV.
         if multi {
@@ -297,6 +298,18 @@ impl RankProgram for HpcgTask {
 mod tests {
     use super::*;
     use ptdg_core::builder::{CountingSubmitter, RecordingSubmitter};
+
+    #[test]
+    fn each_body_holds_one_state_reference() {
+        let prog = HpcgTask::with_state(HpcgConfig::single(6, 1, 4));
+        let st = prog.state.as_ref().unwrap();
+        let before = std::sync::Arc::strong_count(&st.0);
+        let mut rec = RecordingSubmitter::default();
+        prog.build_iteration(0, 0, &mut rec);
+        let bodies = rec.specs.iter().filter(|s| s.body.is_some()).count();
+        assert_eq!(bodies, 6 * 4 + 2, "every task carries a body");
+        assert_eq!(std::sync::Arc::strong_count(&st.0) - before, bodies);
+    }
 
     #[test]
     fn task_count_per_iteration() {

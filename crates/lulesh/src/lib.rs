@@ -33,5 +33,5 @@ pub use bsp_program::LuleshBsp;
 pub use config::LuleshConfig;
 pub use handles::LuleshHandles;
 pub use mesh::{Mesh, RankGrid};
-pub use state::LuleshState;
+pub use state::{LuleshFields, LuleshState};
 pub use task_program::LuleshTask;

@@ -10,7 +10,8 @@
 
 use crate::mesh::Mesh;
 use ptdg_core::data::SharedVec;
-use std::ops::Range;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// Adiabatic index of the ideal-gas EOS.
 const GAMMA: f64 = 1.4;
@@ -24,9 +25,14 @@ const SS_MIN: f64 = 1e-3;
 
 /// All mesh fields of one rank, shared across task bodies.
 ///
-/// Cloning shares storage (every field is a [`SharedVec`]).
+/// A handle to one shared [`LuleshFields`]: cloning it (one per task
+/// body) bumps a single reference count, and field reads go through
+/// [`Deref`].
 #[derive(Clone)]
-pub struct LuleshState {
+pub struct LuleshState(pub(crate) Arc<LuleshFields>);
+
+/// The fields behind a [`LuleshState`].
+pub struct LuleshFields {
     /// Mesh geometry.
     pub mesh: Mesh,
     /// Nodal positions.
@@ -69,6 +75,14 @@ pub struct LuleshState {
     pub dt: SharedVec<f64>,
 }
 
+impl Deref for LuleshState {
+    type Target = LuleshFields;
+
+    fn deref(&self) -> &LuleshFields {
+        &self.0
+    }
+}
+
 impl LuleshState {
     /// Initialize a Sedov-like problem: unit cube, energy deposited in the
     /// origin-corner element, everything else cold and at rest.
@@ -89,7 +103,7 @@ impl LuleshState {
         e[0] = 3.0; // the Sedov energy deposit
         let h = 1.0 / mesh.s as f64;
         let ss0 = (GAMMA * (GAMMA - 1.0) * 1e-6f64).sqrt().max(SS_MIN);
-        let st = LuleshState {
+        let st = LuleshState(Arc::new(LuleshFields {
             mesh,
             x: SharedVec::from_vec(x),
             y: SharedVec::from_vec(y),
@@ -110,7 +124,7 @@ impl LuleshState {
             ss: SharedVec::new(ne, ss0),
             scratch: SharedVec::new(tpl.max(1), h / ss0),
             dt: SharedVec::new(1, 0.0),
-        };
+        }));
         // Prime pressure from the initial energy so step 0 produces
         // forces, and the courant scratch so the first dt is CFL-safe.
         st.k_eos_init();

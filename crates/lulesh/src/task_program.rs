@@ -129,15 +129,24 @@ impl RankProgram for LuleshTask {
         let want = sub.wants_bodies() && self.state.is_some();
         let multi = cfg.n_ranks() > 1;
         // One recycled construction buffer for the whole iteration: after
-        // the widest task warms it up, submissions build no Vecs.
-        let mut buf = SpecBuf::new();
+        // the widest task warms it up, submissions build no Vecs. A sink
+        // that reads no cost model gets no footprints, and the footprint
+        // helpers below return at once.
+        let mut buf = SpecBuf::for_sink(sub);
+        let work = buf.keeps_work();
         let dg = Self::dep_group;
         let tg = |buf: &mut SpecBuf, hs: &[DataHandle]| {
+            if !work {
+                return;
+            }
             for &hd in hs {
                 buf.touch(HandleSlice::whole(hd, space.info(hd).bytes));
             }
         };
         let tmp = |buf: &mut SpecBuf, handle: DataHandle, total: usize, arrays, a: usize, b| {
+            if !work {
+                return;
+            }
             for k in 0..arrays as u64 {
                 buf.touch(HandleSlice {
                     handle,
@@ -147,6 +156,9 @@ impl RankProgram for LuleshTask {
             }
         };
         let qg = |buf: &mut SpecBuf, a: usize, b: usize| {
+            if !work {
+                return;
+            }
             let (a, b) = (a as u64, b as u64);
             if fused {
                 for k in 0..2u64 {
@@ -508,6 +520,20 @@ impl RankProgram for LuleshTask {
 mod tests {
     use super::*;
     use ptdg_core::builder::{CountingSubmitter, RecordingSubmitter};
+
+    #[test]
+    fn each_body_holds_one_state_reference() {
+        let prog = LuleshTask::with_state(LuleshConfig::single(6, 1, 4));
+        let st = prog.state.as_ref().unwrap();
+        let before = std::sync::Arc::strong_count(&st.0);
+        let mut rec = RecordingSubmitter::default();
+        prog.build_iteration(0, 0, &mut rec);
+        let bodies = rec.specs.iter().filter(|s| s.body.is_some()).count();
+        assert!(bodies > 0);
+        assert_eq!(std::sync::Arc::strong_count(&st.0) - before, bodies);
+        drop(rec);
+        assert_eq!(std::sync::Arc::strong_count(&st.0), before);
+    }
 
     #[test]
     fn task_count_matches_config() {
