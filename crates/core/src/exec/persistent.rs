@@ -109,9 +109,8 @@ impl<'e> PersistentRegion<'e> {
         let now = pool.now_ns();
         pinst.begin_iteration_with(iter, &pool.tracker, &*pool.recorder, now);
         pinst.publish_into(0..pinst.len(), &*pool.recorder, now, ready_buf);
-        for node in ready_buf.drain(..) {
-            pool.make_ready(node, None);
-        }
+        // Every node was counted by `begin_iteration_with`.
+        pool.publish(ready_buf, 0, exec.n_workers());
         // Implicit end-of-iteration barrier (help, then park — never
         // sleep-poll).
         pool.barrier();

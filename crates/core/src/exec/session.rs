@@ -5,7 +5,7 @@ use crate::builder::TaskSubmitter;
 use crate::graph::{DiscoveryEngine, DiscoveryStats, GraphTemplate};
 use crate::opts::OptConfig;
 use crate::profile::{Span, SpanKind};
-use crate::rt::{GraphInstance, InstanceOptions, NodeRef, RtProbe};
+use crate::rt::{GraphInstance, InstanceOptions, RtProbe};
 use crate::task::{SpecView, TaskId, TaskSpec};
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
@@ -20,6 +20,12 @@ use std::time::Instant;
 /// into a kernel [`GraphInstance`]; this type only routes the tasks the
 /// instance reports ready and decides when the producer helps execute.
 ///
+/// Ready tasks are staged in the pool and published in batches (see
+/// `Pool::stage`): when the batch fills, when it holds a comm task, at
+/// every wait point ([`Session::taskwait`], [`Session::wait_all`],
+/// [`Session::finish_capture`], throttled help, drop), and whenever an
+/// idle worker has spun out its budget and claims them.
+///
 /// [`Session::submit_view`] is the native, allocation-free submission
 /// path; [`Session::submit`] wraps an owned [`TaskSpec`] around it. After
 /// [`Session::reserve`], a steady-state submission performs zero heap
@@ -31,9 +37,11 @@ pub struct Session<'e> {
     exec: &'e Executor,
     engine: DiscoveryEngine,
     instance: GraphInstance,
-    /// Recycled drain buffer: refills from the instance each submission
-    /// and never regrows past its high-water mark.
-    ready_buf: Vec<NodeRef>,
+    /// Staged counts `(tasks, uncounted creations)` as of this session's
+    /// last staging. An idle worker may have claimed them since, so they
+    /// can only over-report, which costs at most a needless flush before
+    /// the throttle re-checks.
+    staged: (usize, usize),
     discovery_t0_ns: Option<u64>,
     /// End of the discovery window. Stamped after every submission when
     /// the executor records; otherwise read lazily by
@@ -65,11 +73,13 @@ impl<'e> Session<'e> {
         // Discovery narrates creation/readiness through the pool's
         // recorder (a no-op unless the executor profiles).
         instance.set_probe(Arc::clone(&exec.pool().recorder) as Arc<dyn RtProbe>);
+        // Ready-at-seal tasks are counted when their batch publishes.
+        instance.defer_ready_counts();
         Session {
             exec,
             engine: DiscoveryEngine::new(opts),
             instance,
-            ready_buf: Vec::new(),
+            staged: (0, 0),
             discovery_t0_ns: None,
             discovery_t1_ns: Cell::new(0),
             window_open: Cell::new(false),
@@ -80,12 +90,12 @@ impl<'e> Session<'e> {
     /// Pre-size every producer-side buffer for a stream of about `tasks`
     /// tasks over `handles` distinct data handles, so steady-state
     /// submissions allocate nothing: arena chunks, node table, engine
-    /// per-handle state, drain buffer, and — for non-overlapped sessions —
-    /// the hold gate.
+    /// per-handle state, staging buffer, and — for non-overlapped
+    /// sessions — the hold gate.
     pub fn reserve(&mut self, tasks: usize, handles: usize) {
         self.instance.reserve(tasks);
         self.engine.reserve(tasks, handles);
-        self.ready_buf.reserve(tasks.min(64));
+        self.exec.pool().reserve_staging(tasks.min(64));
         self.exec.pool().gate.reserve(tasks);
     }
 
@@ -126,23 +136,38 @@ impl<'e> Session<'e> {
             self.window_open.set(true);
             self.engine.submit_view(&mut self.instance, view)
         };
-        self.instance.drain_ready_into(&mut self.ready_buf);
-        for node in self.ready_buf.drain(..) {
-            pool.make_ready(node, None);
+        if self.instance.has_ready() {
+            self.staged = pool.stage(&mut self.instance);
         }
-        if pool.throttle.should_help(&pool.tracker) {
-            // Relaxed: producer-written statistics, read post-quiescence.
-            pool.throttle_stalls.fetch_add(1, Ordering::Relaxed);
-            let h0 = Instant::now();
-            while pool.throttle.should_help(&pool.tracker) {
-                if !pool.help_once() {
-                    break;
+        let (staged, uncounted) = self.staged;
+        if pool
+            .throttle
+            .should_help_staged(&pool.tracker, staged, uncounted)
+        {
+            // Throttled help is a wait point: publish first, so the
+            // bounds read the tracker alone.
+            self.flush();
+            if pool.throttle.should_help(&pool.tracker) {
+                // Relaxed: producer-written statistics, read
+                // post-quiescence.
+                pool.throttle_stalls.fetch_add(1, Ordering::Relaxed);
+                let h0 = Instant::now();
+                while pool.throttle.should_help(&pool.tracker) {
+                    if !pool.help_once() {
+                        break;
+                    }
                 }
+                pool.throttle_stall_ns
+                    .fetch_add(h0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
-            pool.throttle_stall_ns
-                .fetch_add(h0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         id
+    }
+
+    /// Publish every staged task now.
+    fn flush(&mut self) {
+        self.exec.pool().flush_staged(self.exec.n_workers());
+        self.staged = (0, 0);
     }
 
     /// Submit one owned task spec (convenience wrapper over
@@ -164,6 +189,7 @@ impl<'e> Session<'e> {
     /// sequences, §4.1 of the paper).
     pub fn taskwait(&mut self) {
         self.close_window();
+        self.flush();
         let pool = self.exec.pool();
         pool.release_gate();
         pool.barrier();
@@ -198,6 +224,7 @@ impl<'e> Session<'e> {
     /// Release any held tasks and run until every submitted task has
     /// completed (the producer helps execute).
     pub fn wait_all(&mut self) {
+        self.flush();
         let pool = self.exec.pool();
         pool.release_gate();
         // Relaxed: producer-written, read by `take_obs` after this call.
@@ -232,8 +259,9 @@ impl TaskSubmitter for Session<'_> {
 
 impl Drop for Session<'_> {
     fn drop(&mut self) {
-        // Never leave the gate closed: a dropped non-overlapped session
-        // must not wedge the executor.
+        // Never strand staged tasks or leave the gate closed: a dropped
+        // session must not wedge the executor.
+        self.flush();
         self.exec.pool().release_gate();
     }
 }

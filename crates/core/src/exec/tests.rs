@@ -723,3 +723,96 @@ fn sessions_read_no_cost_model() {
     assert!(!s.wants_work());
     assert!(s.wants_bodies());
 }
+
+#[test]
+fn submit_that_readies_a_comm_task_publishes_the_staging_buffer() {
+    use crate::workdesc::CommOp;
+    let mut space = HandleSpace::new();
+    let (x, y) = (space.region("x", 8), space.region("y", 8));
+    let e = exec(1);
+    let mut s = e.session(OptConfig::all());
+    // A detached send to this very rank; the recv below matches it.
+    s.submit(
+        TaskSpec::new("send")
+            .depend(x, AccessMode::InOut)
+            .comm(CommOp::Isend {
+                peer: 0,
+                bytes: 64,
+                tag: 3,
+            }),
+    );
+    assert_eq!(e.pool().staged_len(), 0, "a ready comm task posts at once");
+    s.submit(TaskSpec::new("plain").depend(y, AccessMode::InOut));
+    s.submit(
+        TaskSpec::new("recv")
+            .depend(y, AccessMode::InOut)
+            .comm(CommOp::Irecv {
+                peer: 0,
+                bytes: 64,
+                tag: 3,
+            }),
+    );
+    s.wait_all();
+    assert_eq!(e.pool().staged_len(), 0);
+    assert!(e.comm_error().is_none());
+    assert!(e.pool().tracker.quiescent());
+}
+
+/// The deadlock detector must not declare a rank idle while it holds
+/// staged tasks: rank 0 stages a task whose successor sends what rank 1
+/// waits for, and a stall report from rank 0 lands while the task is
+/// still staged (before rank 0's worker spins out and claims it).
+#[test]
+fn staged_tasks_keep_a_rank_busy_for_the_deadlock_detector() {
+    use crate::comm::{CommConfig, CommWorld};
+    use crate::workdesc::CommOp;
+    let world = Arc::new(CommWorld::new(2, CommConfig::default()));
+    let cfg = ExecConfig {
+        n_workers: 1,
+        policy: SchedPolicy::DepthFirst,
+        throttle: ThrottleConfig::unbounded(),
+        profile: false,
+        record_events: false,
+    };
+    let mut space = HandleSpace::new();
+    let (buf, msg) = (space.region("buf", 8), space.region("msg", 8));
+    let e0 = Executor::with_comm_world(cfg.clone(), Arc::clone(&world), 0);
+    std::thread::scope(|scope| {
+        let w1 = Arc::clone(&world);
+        let cfg1 = cfg.clone();
+        let rank1 =
+            scope.spawn(move || {
+                let e1 = Executor::with_comm_world(cfg1, w1, 1);
+                let mut s = e1.session(OptConfig::all());
+                s.submit(TaskSpec::new("recv").depend(msg, AccessMode::InOut).comm(
+                    CommOp::Irecv {
+                        peer: 0,
+                        bytes: 64,
+                        tag: 9,
+                    },
+                ));
+                s.wait_all();
+                e1.comm_error()
+            });
+        // Let rank 1 post its recv, find nothing to do and report a stall.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let mut s = e0.session(OptConfig::all());
+        s.submit(TaskSpec::new("produce").depend(buf, AccessMode::Out));
+        s.submit(
+            TaskSpec::new("send")
+                .depend(buf, AccessMode::In)
+                .comm(CommOp::Isend {
+                    peer: 1,
+                    bytes: 64,
+                    tag: 9,
+                }),
+        );
+        assert!(
+            !world.note_stall(0),
+            "a rank holding staged work was declared idle"
+        );
+        s.wait_all();
+        assert_eq!(rank1.join().unwrap(), None, "rank 1's recv matched");
+    });
+    assert!(e0.comm_error().is_none());
+}

@@ -70,9 +70,22 @@ impl<T> HoldGate<T> {
 
     /// Open the gate and take everything held.
     pub fn release(&self) -> Vec<T> {
+        let mut out = Vec::new();
+        self.release_with(|held| out.append(held));
+        out
+    }
+
+    /// Open the gate and hand everything held to `take`, in offer order.
+    /// `take` must drain the buffer it is given; the buffer keeps its
+    /// capacity for the next closed stretch, so a gate sized once by
+    /// [`HoldGate::reserve`] stays sized. `take` runs under the held
+    /// lock with the gate already open: it may offer to this gate (the
+    /// open fast path takes no lock) but must not close it.
+    pub fn release_with(&self, take: impl FnOnce(&mut Vec<T>)) {
         let mut held = self.held();
         self.closed.store(false, Ordering::Relaxed);
-        std::mem::take(&mut held)
+        take(&mut held);
+        debug_assert!(held.is_empty(), "release_with must drain the held items");
     }
 
     /// Total items ever held back (observability counter).
@@ -99,5 +112,25 @@ mod tests {
         assert_eq!(g.offer(2), None);
         assert_eq!(g.release(), vec![1, 2]);
         assert_eq!(g.offer(3), Some(3), "stays open after release");
+    }
+
+    #[test]
+    fn release_keeps_the_held_capacity() {
+        let g: HoldGate<u32> = HoldGate::new(true);
+        g.reserve(16);
+        let cap = g.held().capacity();
+        assert_eq!(g.offer(1), None);
+        let mut got = Vec::new();
+        g.release_with(|held| got.append(held));
+        assert_eq!(got, vec![1]);
+        assert_eq!(
+            g.held().capacity(),
+            cap,
+            "release hands back items, not capacity"
+        );
+        g.close();
+        assert_eq!(g.offer(2), None);
+        assert_eq!(g.release(), vec![2]);
+        assert_eq!(g.held().capacity(), cap);
     }
 }

@@ -8,6 +8,23 @@
 //! edges themselves; they only *route* the ready tasks this instance
 //! hands them.
 //!
+//! # When a creation is counted
+//!
+//! A node enters [`ReadyTracker::created`] just before its seal drops the
+//! creation token — from then on a worker completing its last
+//! predecessor can release, run and complete it. After
+//! [`GraphInstance::defer_ready_counts`], a node that is ready at its own
+//! seal (only the creation token left, [`RtNode::only_token_left`]) is
+//! instead counted when it is published: no other thread can reach it
+//! before the back-end routes it. [`GraphInstance::drain_ready`] counts
+//! such nodes at the drain; [`GraphInstance::take_ready_into`] hands
+//! their count to a back-end that publishes later (the thread executor's
+//! staging buffer).
+//!
+//! Either way `live` includes every node some thread could complete, so
+//! no completion can drive it below zero, and the quiescence argument of
+//! [`ReadyTracker::completed`] holds unchanged.
+//!
 //! Nodes come from the instance's [`NodeArena`]: after a
 //! [`GraphInstance::reserve`] (or once chunk allocation has warmed up),
 //! submitting a task performs **zero** heap allocations — the zero-alloc
@@ -52,6 +69,11 @@ pub struct GraphInstance {
     arena: NodeArena,
     nodes: Vec<NodeRef>,
     newly_ready: Vec<NodeRef>,
+    /// Nodes in `newly_ready` that were ready at their own seal and whose
+    /// creation is not yet counted (see the module docs).
+    uncounted: usize,
+    /// Leave ready-at-seal nodes' creation counts to their publication.
+    defer_ready_counts: bool,
     tracker: Arc<ReadyTracker>,
     capture: Option<TemplateRecorder>,
     opts: InstanceOptions,
@@ -70,6 +92,8 @@ impl GraphInstance {
             arena: NodeArena::new(),
             nodes: Vec::new(),
             newly_ready: Vec::new(),
+            uncounted: 0,
+            defer_ready_counts: false,
             tracker,
             capture: opts.capture.then(|| {
                 if opts.keep_work {
@@ -92,6 +116,17 @@ impl GraphInstance {
         self.arena.reserve(extra);
         self.nodes.reserve(extra);
         self.newly_ready.reserve(extra);
+    }
+
+    /// Count a node that is ready at its own seal when it is drained
+    /// rather than at its seal (see "When a creation is counted" in the
+    /// module docs). For back-ends that publish ready nodes in batches:
+    /// the count then joins the batch's one update instead of costing an
+    /// RMW per node. By default every node is counted by the time its
+    /// seal returns, so `live` covers every discovered node even before
+    /// a drain.
+    pub fn defer_ready_counts(&mut self) {
+        self.defer_ready_counts = true;
     }
 
     /// Iteration stamped onto subsequently created nodes.
@@ -124,10 +159,11 @@ impl GraphInstance {
         self.nodes.is_empty()
     }
 
-    /// Tasks that became ready since the last drain, in seal order. The
-    /// back-end routes them (hold gate, queues) — the instance only
-    /// detects readiness.
+    /// Tasks that became ready since the last drain, in seal order, with
+    /// every creation counted. The back-end routes them (hold gate,
+    /// queues) — the instance only detects readiness.
     pub fn drain_ready(&mut self) -> Vec<NodeRef> {
+        self.count_ready();
         std::mem::take(&mut self.newly_ready)
     }
 
@@ -136,7 +172,30 @@ impl GraphInstance {
     /// at most to the high-water mark — after warm-up, no allocation on
     /// either side.
     pub fn drain_ready_into(&mut self, out: &mut Vec<NodeRef>) {
+        self.count_ready();
         out.append(&mut self.newly_ready);
+    }
+
+    /// [`GraphInstance::drain_ready_into`] without counting: returns how
+    /// many of the drained nodes were ready at their own seal and are not
+    /// yet in [`ReadyTracker::created`]. The caller must count them
+    /// before any of them can reach another thread.
+    #[must_use = "the returned creations must be counted at publication"]
+    pub fn take_ready_into(&mut self, out: &mut Vec<NodeRef>) -> usize {
+        out.append(&mut self.newly_ready);
+        std::mem::take(&mut self.uncounted)
+    }
+
+    /// Whether a drain would return anything.
+    pub fn has_ready(&self) -> bool {
+        !self.newly_ready.is_empty()
+    }
+
+    fn count_ready(&mut self) {
+        let n = std::mem::take(&mut self.uncounted);
+        if n != 0 {
+            self.tracker.created(n);
+        }
     }
 
     /// Finish a capture, yielding the persistent template. Panics if the
@@ -152,7 +211,6 @@ impl GraphInstance {
 impl GraphSink for GraphInstance {
     fn add_task(&mut self, view: &SpecView<'_>) -> TaskId {
         let id = TaskId::from_index(self.nodes.len());
-        self.tracker.created(1);
         let node = RtNode::from_view(
             id,
             view,
@@ -173,7 +231,6 @@ impl GraphSink for GraphInstance {
 
     fn add_redirect(&mut self) -> TaskId {
         let id = TaskId::from_index(self.nodes.len());
-        self.tracker.created(1);
         self.nodes
             .push(self.arena.alloc(RtNode::redirect(id, self.iter)));
         if let Some(cap) = &mut self.capture {
@@ -199,11 +256,19 @@ impl GraphSink for GraphInstance {
 
     fn seal(&mut self, task: TaskId) {
         let node = &self.nodes[task.index()];
+        // See "When a creation is counted" in the module docs.
+        let private = self.defer_ready_counts && node.only_token_left();
+        if !private {
+            self.tracker.created(1);
+        }
         if node.seal() {
             if self.probe.lifecycle_enabled() {
                 self.probe.task_ready(node.id, self.now_ns);
             }
+            self.uncounted += usize::from(private);
             self.newly_ready.push(node.clone());
+        } else {
+            debug_assert!(!private, "a node with only its token left seals ready");
         }
     }
 
@@ -288,6 +353,107 @@ mod tests {
         let tmpl = inst.finish_capture();
         assert_eq!(tmpl.n_tasks(), 3);
         assert_eq!(tmpl.n_edges(), 2);
+    }
+
+    fn deferred(tracker: &Arc<ReadyTracker>) -> GraphInstance {
+        let mut inst = GraphInstance::new(Arc::clone(tracker), InstanceOptions::default());
+        inst.defer_ready_counts();
+        inst
+    }
+
+    #[test]
+    fn ready_at_seal_node_is_counted_when_published() {
+        let mut space = HandleSpace::new();
+        let tracker = Arc::new(ReadyTracker::new());
+        let mut inst = deferred(&tracker);
+        let mut engine = DiscoveryEngine::new(OptConfig::all());
+        let x = space.region("x", 64);
+        engine.submit(&mut inst, &TaskSpec::new("w").depend(x, AccessMode::Out));
+        assert!(inst.has_ready());
+        assert_eq!(tracker.live(), 0, "not counted before publication");
+        let mut out = Vec::new();
+        assert_eq!(inst.take_ready_into(&mut out), 1);
+        assert_eq!(tracker.live(), 0, "the taker counts at publication");
+        tracker.created(1);
+        // `drain_ready` counts at the drain.
+        let y = space.region("y", 64);
+        engine.submit(&mut inst, &TaskSpec::new("v").depend(y, AccessMode::Out));
+        assert_eq!(tracker.live(), 1);
+        assert_eq!(inst.drain_ready().len(), 1);
+        assert_eq!(tracker.live(), 2);
+        assert_eq!(tracker.created_total(), 2);
+    }
+
+    #[test]
+    fn node_with_an_outstanding_edge_is_counted_before_its_seal() {
+        let tracker = Arc::new(ReadyTracker::new());
+        let mut inst = deferred(&tracker);
+        let w = inst.add_task(&TaskSpec::new("w").view());
+        inst.seal(w);
+        let r = inst.add_task(&TaskSpec::new("r").view());
+        assert!(inst.add_edge(w, r));
+        assert_eq!(tracker.live(), 0);
+        inst.seal(r);
+        assert_eq!(
+            tracker.live(),
+            1,
+            "r is reachable from w: counted at its seal"
+        );
+        let mut out = Vec::new();
+        assert_eq!(inst.take_ready_into(&mut out), 1, "only w is uncounted");
+        assert_eq!(out.len(), 1);
+        tracker.created(1);
+        let done = out[0].complete();
+        assert!(!tracker.completed());
+        assert_eq!(done.ready.len(), 1, "w released r");
+        assert!(done.ready[0].complete().ready.is_empty());
+        assert!(tracker.completed());
+    }
+
+    /// A worker completes predecessors while the producer seals their
+    /// successors: whichever way each race goes, every node is counted
+    /// before a completion can reach it, so `live` never wraps (a debug
+    /// assertion in `ReadyTracker::completed` fires if it does) and ends
+    /// at zero.
+    #[test]
+    fn live_never_wraps_while_a_worker_completes_predecessors() {
+        const TASKS: usize = 4000;
+        const HANDLES: usize = 4;
+        let tracker = Arc::new(ReadyTracker::new());
+        let (tx, rx) = std::sync::mpsc::channel::<Vec<NodeRef>>();
+        std::thread::scope(|scope| {
+            let t = Arc::clone(&tracker);
+            scope.spawn(move || {
+                let mut work = Vec::new();
+                for batch in rx {
+                    work.extend(batch);
+                    while let Some(node) = work.pop() {
+                        work.extend(node.complete().ready);
+                        t.completed();
+                        assert!(t.live() <= TASKS, "live wrapped: {}", t.live());
+                    }
+                }
+            });
+            let mut space = HandleSpace::new();
+            let handles: Vec<_> = (0..HANDLES).map(|_| space.region("h", 64)).collect();
+            let mut inst = deferred(&tracker);
+            let mut engine = DiscoveryEngine::new(OptConfig::all());
+            for k in 0..TASKS {
+                let spec = TaskSpec::new("t")
+                    .depend(handles[k % HANDLES], AccessMode::InOut)
+                    .depend(handles[(k + 1) % HANDLES], AccessMode::In);
+                engine.submit(&mut inst, &spec);
+                let mut batch = Vec::new();
+                let uncounted = inst.take_ready_into(&mut batch);
+                tracker.created(uncounted);
+                if !batch.is_empty() {
+                    tx.send(batch).unwrap();
+                }
+            }
+            drop(tx);
+        });
+        assert_eq!(tracker.created_total(), TASKS);
+        assert!(tracker.quiescent());
     }
 
     #[test]

@@ -201,6 +201,16 @@ impl RtNode {
         self.pending.load(Ordering::Relaxed)
     }
 
+    /// Whether only the creation token is left: every edge attached so
+    /// far has been released. Exact for the token holder before its
+    /// [`RtNode::seal`]: the only increments are its own attaches, which
+    /// this Relaxed load sees in program order, so a 1 can be moved only
+    /// by the holder's seal. A node for which this holds is unreachable
+    /// from every other thread until the holder publishes it.
+    pub fn only_token_left(&self) -> bool {
+        self.pending.load(Ordering::Relaxed) == 1
+    }
+
     /// Set the persistent successor list (once, at template instancing).
     pub(crate) fn set_persistent_succs(&self, succs: Vec<NodeRef>) {
         assert!(

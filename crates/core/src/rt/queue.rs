@@ -118,6 +118,17 @@ impl<T> ReadyQueues<T> {
         }
     }
 
+    /// Enqueue a batch of producer-made-ready tasks into the global FIFO,
+    /// in order: one count bump for the batch, then the injector pushes
+    /// back to back. Same ordering argument as [`ReadyQueues::push`] —
+    /// the count rises before any element of the batch is visible.
+    pub fn push_batch(&self, items: impl ExactSizeIterator<Item = T>) {
+        self.count.fetch_add(items.len(), Ordering::Relaxed);
+        for item in items {
+            self.injector.push(item);
+        }
+    }
+
     /// Dequeue for core `worker`. Returns the task and whether it was
     /// *stolen* from another core's deque (the simulator charges a steal
     /// penalty). Depth-first order: own deque LIFO, then global FIFO, then
@@ -268,6 +279,19 @@ mod tests {
         while q.pop(Some(0)).is_some() {}
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn push_batch_is_fifo_and_counted() {
+        for policy in [SchedPolicy::DepthFirst, SchedPolicy::BreadthFirst] {
+            let q = ReadyQueues::new_lock_free(policy, 2);
+            q.push(1, None);
+            q.push_batch([2, 3, 4].into_iter());
+            assert_eq!(q.len(), 4);
+            let order: Vec<_> = std::iter::from_fn(|| q.pop(Some(1)).map(|(v, _)| v)).collect();
+            assert_eq!(order, vec![1, 2, 3, 4], "{policy:?}");
+            assert!(q.is_empty());
+        }
     }
 
     #[test]

@@ -23,9 +23,12 @@ impl ReadyTracker {
     /// `n` tasks were created (discovery or re-instancing).
     ///
     /// Relaxed: the increment is published to eventual completers through
-    /// the ready-queue transfer of the tasks themselves, and counter
-    /// atomicity alone guarantees `live` cannot read 0 while any created
-    /// task has not completed — which is all `quiescent` relies on.
+    /// the ready-queue transfer of the tasks themselves (or, for a node
+    /// counted just before its seal, through the seal's AcqRel token
+    /// drop), and counter atomicity alone guarantees `live` cannot read 0
+    /// while any created task has not completed — which is all
+    /// `quiescent` relies on. A task must be counted before any thread
+    /// can complete it; [`super::GraphInstance`] documents when that is.
     pub fn created(&self, n: usize) {
         self.created_total.fetch_add(n, Ordering::Relaxed);
         let live = self.live.fetch_add(n, Ordering::Relaxed) + n;
@@ -35,7 +38,12 @@ impl ReadyTracker {
     /// A task became ready. (Relaxed: `ready` only steers throttling
     /// heuristics and statistics, never a safety decision.)
     pub fn became_ready(&self) {
-        let ready = self.ready.fetch_add(1, Ordering::Relaxed) + 1;
+        self.became_ready_n(1);
+    }
+
+    /// `n` tasks became ready at once: one RMW for a published batch.
+    pub fn became_ready_n(&self, n: usize) {
+        let ready = self.ready.fetch_add(n, Ordering::Relaxed) + n;
         raise_mark(&self.ready_hwm, ready);
     }
 
@@ -53,7 +61,11 @@ impl ReadyTracker {
     /// `wait_all`/`taskwait` callers need before reading task outputs.
     /// The Acquire half orders successive completions among themselves.
     pub fn completed(&self) -> bool {
-        self.live.fetch_sub(1, Ordering::AcqRel) == 1
+        let live = self.live.fetch_sub(1, Ordering::AcqRel);
+        // A completion with nothing live means some creation was never
+        // counted: the count would wrap and no barrier could end.
+        debug_assert!(live != 0, "live task count wrapped below zero");
+        live == 1
     }
 
     /// Current live count. (Acquire: pairs with the Release decrements in

@@ -82,6 +82,25 @@ impl ThrottleGate {
     pub fn should_help(&self, tracker: &ReadyTracker) -> bool {
         self.cfg.should_help(tracker.ready(), tracker.live())
     }
+
+    /// [`ThrottleGate::should_help`] for a producer that also holds
+    /// `staged` ready tasks it has not yet published, `uncounted` of them
+    /// not yet counted as created: the bounds apply to them as if they
+    /// were published. Reads only the counters a bound is set for.
+    pub fn should_help_staged(
+        &self,
+        tracker: &ReadyTracker,
+        staged: usize,
+        uncounted: usize,
+    ) -> bool {
+        self.cfg
+            .max_ready
+            .is_some_and(|m| tracker.ready() + staged > m)
+            || self
+                .cfg
+                .max_live
+                .is_some_and(|m| tracker.live() + uncounted > m)
+    }
 }
 
 #[cfg(test)]
@@ -127,5 +146,21 @@ mod tests {
         tracker.became_ready();
         tracker.became_ready();
         assert!(gate.should_help(&tracker));
+    }
+
+    #[test]
+    fn staged_tasks_count_against_the_bounds() {
+        let tracker = ReadyTracker::new();
+        tracker.created(2);
+        tracker.became_ready();
+        let ready = ThrottleGate::new(ThrottleConfig::ready_bound(2));
+        assert!(!ready.should_help_staged(&tracker, 1, 1));
+        assert!(ready.should_help_staged(&tracker, 2, 0));
+        let live = ThrottleGate::new(ThrottleConfig {
+            max_ready: None,
+            max_live: Some(3),
+        });
+        assert!(!live.should_help_staged(&tracker, 5, 1));
+        assert!(live.should_help_staged(&tracker, 0, 2));
     }
 }

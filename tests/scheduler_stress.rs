@@ -323,6 +323,64 @@ fn no_lost_wakeup_across_spin_park_boundary() {
     }
 }
 
+/// Staged work is published work: a producer that stages fewer ready
+/// tasks than a batch and then blocks outside the runtime (no wait
+/// point, no further submission) must still see them run, because an
+/// idle worker claims the staging buffer once it has spun out its
+/// budget. Same latency bound as the chains above.
+#[test]
+fn staged_tasks_run_while_the_producer_blocks_outside_the_runtime() {
+    /// Fewer than a staging batch, each on its own handle: all are
+    /// ready at their seal, so all are staged.
+    const TASKS: usize = 5;
+    const LATENCY_LIMIT: Duration = Duration::from_millis(50);
+    let bursts = rounds() * 3;
+    for workers in [1, 4] {
+        let e = Executor::new(cfg(workers));
+        let mut space = HandleSpace::new();
+        let handles: Vec<_> = (0..TASKS).map(|_| space.region("own", 64)).collect();
+        let runs: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..bursts * TASKS).map(|_| AtomicUsize::new(0)).collect());
+        let done = Arc::new(AtomicUsize::new(0));
+        let mut s = e.session(OptConfig::all());
+        for b in 0..bursts {
+            let t0 = Instant::now();
+            for (k, &h) in handles.iter().enumerate() {
+                let (runs, done) = (Arc::clone(&runs), Arc::clone(&done));
+                let i = b * TASKS + k;
+                s.submit(
+                    TaskSpec::new("staged")
+                        .depend(h, AccessMode::InOut)
+                        .body(move |_| {
+                            runs[i].fetch_add(1, Ordering::Relaxed);
+                            done.fetch_add(1, Ordering::Release);
+                        }),
+                );
+            }
+            while done.load(Ordering::Acquire) < (b + 1) * TASKS {
+                assert!(
+                    t0.elapsed() < 10 * LATENCY_LIMIT,
+                    "{workers} workers, burst {b}: staged tasks never ran"
+                );
+                std::thread::yield_now();
+            }
+            let latency = t0.elapsed();
+            assert!(
+                latency < LATENCY_LIMIT,
+                "{workers} workers, burst {b} took {latency:?}: staged tasks stranded"
+            );
+        }
+        s.wait_all();
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(
+                r.load(Ordering::Relaxed),
+                1,
+                "{workers} workers: task {i} must run exactly once"
+            );
+        }
+    }
+}
+
 /// Persistent-region iteration barriers under parking: every iteration
 /// runs the full graph, no iteration deadlocks.
 #[test]
