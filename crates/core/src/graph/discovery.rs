@@ -30,6 +30,11 @@ struct HandleState {
     /// Predecessors each member of the `inoutset` group depends on: those
     /// of its opener.
     group_base: InlineVec<TaskId, WRITERS_INLINE>,
+    /// Every `group_base` entry carries its completion-memo bit, and the
+    /// task that found so is not in the base: a later member joins in one
+    /// counting pass ([`Wiring::join_finished`]). Cleared when the base
+    /// is rebuilt.
+    base_finished: bool,
     /// Readers since the last write.
     readers: InlineVec<TaskId, READERS_INLINE>,
 }
@@ -64,6 +69,10 @@ struct Wiring {
     /// is counted as pruned without asking the sink (DESIGN.md §4.4).
     finished: Vec<u64>,
     stats: DiscoveryStats,
+    /// Group-base entries walked through [`Wiring::edge`] (opener and
+    /// member walks): pins that a join against a finished base skips it.
+    #[cfg(test)]
+    base_walked: u64,
 }
 
 impl Wiring {
@@ -96,6 +105,11 @@ impl Wiring {
         true
     }
 
+    /// Whether the completion memo marks `p` finished.
+    fn is_finished(&self, p: TaskId) -> bool {
+        self.finished[p.index() / 64] & (1u64 << (p.index() % 64)) != 0
+    }
+
     /// Request edge `pred -> succ` after the [`Wiring::probe`]. A
     /// predecessor the memo knows finished is counted as pruned without
     /// a sink call, so every counter reads as if each edge had been
@@ -113,6 +127,43 @@ impl Wiring {
             self.stats.edges_pruned += 1;
             self.finished[word] |= bit;
         }
+    }
+
+    /// Request an edge from every group-base entry to `succ`; returns
+    /// whether the base is now known finished (every entry memoized, and
+    /// `succ`, whose self-edge the probe skipped, not among them).
+    fn walk_base(&mut self, sink: &mut dyn GraphSink, base: &[TaskId], succ: TaskId) -> bool {
+        #[cfg(test)]
+        {
+            self.base_walked += base.len() as u64;
+        }
+        let mut finished = true;
+        for &p in base {
+            self.edge(sink, p, succ);
+            finished &= p != succ && self.is_finished(p);
+        }
+        finished
+    }
+
+    /// Join `succ` to a group whose base is known finished: the counters
+    /// and `last_succ` writes of [`Wiring::walk_base`], with no sink call.
+    /// Every edge is pruned except the duplicates the probe skips.
+    fn join_finished(&mut self, base: &[TaskId], succ: TaskId) {
+        let n = base.len() as u64;
+        if !self.opts.dedup_edges {
+            self.stats.edges_pruned += n;
+            return;
+        }
+        let mut skipped = 0;
+        for &p in base {
+            debug_assert_ne!(p, succ, "a finished base holds no live task");
+            let slot = &mut self.last_succ[p.index()];
+            skipped += u64::from(*slot == succ.0);
+            *slot = succ.0;
+        }
+        self.stats.dup_probes += n;
+        self.stats.dup_skipped += skipped;
+        self.stats.edges_pruned += n - skipped;
     }
 
     /// The predecessors standing for the last write of `st`: its writers,
@@ -163,6 +214,8 @@ impl DiscoveryEngine {
                 last_succ: Vec::new(),
                 finished: Vec::new(),
                 stats: DiscoveryStats::default(),
+                #[cfg(test)]
+                base_walked: 0,
             },
         }
     }
@@ -202,6 +255,7 @@ impl DiscoveryEngine {
             h.writers_are_set = false;
             h.redirect = None;
             h.group_base.clear();
+            h.base_finished = false;
             h.readers.clear();
         }
         // The per-node tables must reset too: if the sink's ids restart (a
@@ -261,8 +315,10 @@ impl DiscoveryEngine {
                 AccessMode::InOutSet if st.writers_are_set && st.readers.is_empty() => {
                     // Join the open group: an edge from every base
                     // predecessor, none against fellow members.
-                    for &p in &st.group_base {
-                        wire.edge(sink, p, id);
+                    if st.base_finished {
+                        wire.join_finished(&st.group_base, id);
+                    } else {
+                        st.base_finished = wire.walk_base(sink, &st.group_base, id);
                     }
                     st.last_writers.push(id);
                 }
@@ -276,9 +332,7 @@ impl DiscoveryEngine {
                     } else {
                         base.extend_from_slice(&st.readers);
                     }
-                    for &p in &base {
-                        wire.edge(sink, p, id);
-                    }
+                    st.base_finished = wire.walk_base(sink, &base, id);
                     st.group_base = base;
                     st.open_write(id, true);
                 }
@@ -737,17 +791,35 @@ mod tests {
             .collect()
     }
 
-    fn discover(
+    fn run_engine(
         program: &Program,
         delays: Vec<u32>,
         opts: OptConfig,
-    ) -> (DiscoveryStats, ScheduleSink) {
+    ) -> (DiscoveryEngine, ScheduleSink) {
         let mut eng = DiscoveryEngine::new(opts);
         let mut sink = ScheduleSink::new(delays);
         for spec in specs(program) {
             eng.submit(&mut sink, &spec);
         }
+        (eng, sink)
+    }
+
+    fn discover(
+        program: &Program,
+        delays: Vec<u32>,
+        opts: OptConfig,
+    ) -> (DiscoveryStats, ScheduleSink) {
+        let (eng, sink) = run_engine(program, delays, opts);
         (eng.stats(), sink)
+    }
+
+    fn all_opts() -> [OptConfig; 4] {
+        [
+            OptConfig::all(),
+            OptConfig::none(),
+            OptConfig::dedup_only(),
+            OptConfig::redirect_only(),
+        ]
     }
 
     /// The completion memo against an oracle that needs nothing from the
@@ -856,6 +928,60 @@ mod tests {
         assert_eq!(run.requests.len(), 1 + n);
     }
 
+    /// Fig. 4's group behind n readers: the opener walks the n-entry
+    /// base through [`Wiring::edge`]. Once it finds every entry finished,
+    /// no later member walks the base, and the counters are those of
+    /// requesting every edge. A base that is still live is walked by
+    /// every member.
+    #[test]
+    fn joins_against_a_finished_base_walk_it_once() {
+        let (n, m) = (5u64, 7u64);
+        let mut program = vec![vec![(0, AccessMode::Out)]];
+        program.extend((0..n).map(|_| vec![(0, AccessMode::In)]));
+        program.extend((0..m).map(|_| vec![(0, AccessMode::InOutSet)]));
+        let specs = specs(&program);
+        let (readers, members) = specs.split_at(1 + n as usize);
+        for opts in all_opts() {
+            for (delay, walked_later) in [(0, 0), (NEVER, n)] {
+                let mut eng = DiscoveryEngine::new(opts);
+                let mut sink = ScheduleSink::new(vec![delay]);
+                for spec in readers {
+                    eng.submit(&mut sink, spec);
+                }
+                let walked: Vec<u64> = members
+                    .iter()
+                    .map(|spec| {
+                        let before = eng.wire.base_walked;
+                        eng.submit(&mut sink, spec);
+                        eng.wire.base_walked - before
+                    })
+                    .collect();
+                let mut expected = vec![walked_later; m as usize];
+                expected[0] = n;
+                assert_eq!(walked, expected, "{opts:?}, delay {delay}");
+                let edges = n + m * n;
+                let (created, pruned) = if delay == NEVER {
+                    (edges, 0)
+                } else {
+                    (0, edges)
+                };
+                assert_eq!(
+                    eng.stats(),
+                    DiscoveryStats {
+                        tasks: 1 + n + m,
+                        redirect_nodes: 0,
+                        depend_items: 1 + n + m,
+                        edges_created: created,
+                        edges_pruned: pruned,
+                        dup_probes: if opts.dedup_edges { edges } else { 0 },
+                        dup_skipped: 0,
+                    },
+                    "{opts:?}, delay {delay}"
+                );
+            }
+        }
+    }
+
     /// The depend semantics spelled out naively: the predecessors an
     /// access of `mode` needs, found by rescanning `history`, every
     /// earlier `(task, mode)` access to the same region in submission
@@ -905,6 +1031,64 @@ mod tests {
             (h, mode)
         });
         prop::collection::vec(prop::collection::vec(item, 1..=4), 1..=60)
+    }
+
+    /// Streams built to reach the bulk join: depend lists of up to six
+    /// items over three handles, half of them `inoutset`, so one list
+    /// repeats a handle, joins groups several times and materializes a
+    /// redirect after joining. Most tasks finish within a few nodes, so
+    /// group bases are found finished mid-group.
+    fn bulk_join_program_strategy() -> impl Strategy<Value = Vec<Vec<(usize, AccessMode)>>> {
+        let item = (0usize..3, 0u8..8).prop_map(|(h, m)| {
+            let mode = match m {
+                0 | 1 => AccessMode::In,
+                2 => AccessMode::Out,
+                3 => AccessMode::InOut,
+                _ => AccessMode::InOutSet,
+            };
+            (h, mode)
+        });
+        prop::collection::vec(prop::collection::vec(item, 1..=6), 8..=60)
+    }
+
+    /// The bulk join is exact: on streams that join groups against
+    /// finished bases, every counter and the created-edge list are those
+    /// of the never-pruning run, under every optimization switch. The
+    /// bulk path must have skipped a non-empty base walk in at least
+    /// `MIN_FIRED` of the cases, so the property cannot hold vacuously.
+    #[test]
+    fn bulk_joins_match_the_never_pruning_run() {
+        const CASES: u32 = 256;
+        const MIN_FIRED: u32 = CASES * 3 / 4;
+        let programs = bulk_join_program_strategy();
+        let schedules = prop::collection::vec(0u32..8, 128);
+        let mut fired = 0;
+        let name = "bulk_joins_match_the_never_pruning_run";
+        proptest::TestRunner::new(ProptestConfig::with_cases(CASES), name).run(name, |rng| {
+            let program = programs.generate(rng);
+            let delays: Vec<u32> = schedules
+                .generate(rng)
+                .into_iter()
+                .map(|d| if d == 7 { NEVER } else { d })
+                .collect();
+            let walked = |delays: &[u32], opts| {
+                run_engine(&program, delays.to_vec(), opts)
+                    .0
+                    .wire
+                    .base_walked
+            };
+            let mut hit = false;
+            for opts in all_opts() {
+                check_memo(&program, &delays, opts)?;
+                hit |= walked(&delays, opts) < walked(&[NEVER], opts);
+            }
+            fired += u32::from(hit);
+            Ok(())
+        });
+        assert!(
+            fired >= MIN_FIRED,
+            "the bulk join fired in {fired} of {CASES} cases"
+        );
     }
 
     proptest! {

@@ -55,12 +55,24 @@ fn spin(iters: u64) {
     }
 }
 
+/// Polls of [`start_line`] before it starts yielding its core.
+const START_SPIN_POLLS: u32 = 1000;
+
 /// A spinning two-party start line: unlike a blocking barrier, neither
-/// side sleeps, so the seeded offsets below decide the interleaving.
+/// side sleeps, so the seeded offsets below decide the interleaving. On
+/// several cores both sides arrive within the spin budget and leave
+/// together; past it the waiter yields, so on one core the other side
+/// gets to run instead of waiting out a time slice.
 fn start_line(arrived: &AtomicUsize) {
     arrived.fetch_add(1, Ordering::AcqRel);
+    let mut polls = 0u32;
     while arrived.load(Ordering::Acquire) < 2 {
-        std::hint::spin_loop();
+        if polls < START_SPIN_POLLS {
+            polls += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
     }
 }
 
